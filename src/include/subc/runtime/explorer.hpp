@@ -185,25 +185,17 @@ class Explorer {
     std::int64_t step_quota = 0;
 
     /// Campaign checkpointing: when non-empty, the search periodically
-    /// serializes its progress watermark to this path (atomic temp+rename;
-    /// format in checking/checkpoint.hpp) and writes a final snapshot on
-    /// completion. `Explorer::resume(body, path, opts)` continues an
-    /// interrupted campaign to the bit-identical final `Result`. The path
-    /// also enables frontier spilling: when the parallel work-unit ring
-    /// fills, the oldest queued prefixes are spilled to `<path>.spill` and
-    /// re-injected after enumeration instead of stalling the producer.
-    /// Empty (the default) disables both.
+    /// serializes its progress watermark to this path (durable temp file +
+    /// fsync + rename; format in checking/checkpoint.hpp) and writes a final
+    /// snapshot on completion. `Explorer::resume(body, path, opts)`
+    /// continues an interrupted campaign to the bit-identical final
+    /// `Result`. Empty (the default) disables checkpointing. No file but
+    /// the snapshot and its transient `<path>.tmp` is written.
     std::string checkpoint_path;
 
     /// Roughly how many completed executions (serial) or canonical events
     /// (parallel) between periodic snapshots. Must be positive.
     std::int64_t checkpoint_every = 4096;
-
-    /// Capacity of the parallel frontier work-unit ring (rounded up to a
-    /// power of two, minimum 2). Smaller rings bound in-flight prefixes;
-    /// see `checkpoint_path` for the spill behaviour under pressure. Must
-    /// be non-zero. Ignored when running serially.
-    std::size_t frontier_queue_capacity = 256;
   };
 
   struct Result {

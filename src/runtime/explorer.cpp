@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <deque>
 #include <exception>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -146,67 +145,77 @@ class BudgetScope {
   bool holder_ = false;
 };
 
-// Tallies of one subtree work unit, merged in canonical order afterwards.
+// Tallies and findings of one subtree: a frontier work unit, or — for the
+// serial search and the parallel aggregate — the whole remaining tree.
 struct SubtreeStats {
-  std::int64_t executions = 0;
-  std::int64_t pruned = 0;
-  std::int64_t reduced = 0;
-  std::int64_t crashed = 0;    ///< executions in which >= 1 crash landed
-  std::int64_t recovered = 0;  ///< executions in which >= 1 recovery landed
-  std::int64_t stuck = 0;      ///< executions cut by the step-quota watchdog
-  std::int64_t stateful = 0;   ///< subtrees cut by stateful exploration
+  ExplorerTally tally;
   std::optional<std::string> violation;
   std::vector<Decision> trace;
-  /// First (in DFS order, i.e. canonically least within the unit) stuck
-  /// execution; DFS order also means it precedes the unit's own violation,
-  /// if any.
-  std::optional<std::string> stuck_message;
-  std::vector<Decision> stuck_trace;
+  /// First (in DFS order, i.e. canonically least within the subtree) stuck
+  /// execution; DFS order also means it precedes the subtree's own
+  /// violation, if any.
+  std::optional<StuckExecution> first_stuck;
   /// True when the subtree was fully explored or stopped at its own (first)
   /// violation — false only on cancellation or budget exhaustion.
   bool finished = false;
 };
 
-std::string stuck_message_for(std::int64_t quota) {
-  return "stuck execution: step quota (" + std::to_string(quota) +
-         ") exceeded";
-}
-
-// The snapshot every checkpoint of one search starts from: the option echo
-// plus the watermark a resumed search inherited (zero tallies on a fresh
-// explore). Periodic snapshots add the current progress on top.
-ExplorerSnapshot snapshot_proto(const Explorer::Options& opts,
-                                const ExplorerSnapshot* base) {
-  ExplorerSnapshot s;
-  s.max_executions = opts.max_executions;
-  s.max_crashes = opts.max_crashes;
-  s.max_recoveries = opts.max_recoveries;
-  s.step_quota = opts.step_quota;
-  s.reduction = opts.reduction == Reduction::kSleepSets;
-  s.stateful = opts.stateful;
-  if (base != nullptr) {
-    s.executions = base->executions;
-    s.pruned = base->pruned;
-    s.reduced = base->reduced;
-    s.crashed = base->crashed;
-    s.recovered = base->recovered;
-    s.stuck = base->stuck;
-    s.stateful_cuts = base->stateful_cuts;
-    s.stuck_message = base->stuck_message;
-    s.stuck_trace = base->stuck_trace;
-  }
-  return s;
-}
-
-// Periodic-checkpoint plumbing for the serial search: the restart-DFS state
-// is just (tallies, next prefix), so a snapshot is written straight from the
-// loop in explore_subtree.
-struct SerialCheckpoint {
-  const std::string* path = nullptr;
-  std::int64_t every = 0;
-  const ExplorerSnapshot* proto = nullptr;
-  std::int64_t last = 0;  ///< executions at the previous snapshot
+// What one run of the restart-DFS turned out to be: its contribution to the
+// canonical tallies (the execution or cut itself, plus the reduction skips
+// the driver made on the way down) and what it found.
+struct Outcome {
+  ExplorerTally delta;
+  bool unit = false;  ///< cut at the frontier depth: a work unit's root
+  std::optional<std::string> violation;
+  std::optional<std::string> stuck;  ///< step-quota diagnostic
 };
+
+// Runs `body` once under `driver` and sorts the result into an Outcome.
+// Completed executions — violating and stuck ones included — consume one
+// unit of budget; cuts consume none.
+Outcome run_and_classify(const ExecutionBody& body, ReplayDriver& driver,
+                         const Explorer::Options& opts, BudgetScope& budget) {
+  Outcome out;
+  bool executed = true;
+  try {
+    out.violation = run_one(body, driver, opts.observer);
+  } catch (const FrontierCut&) {
+    out.unit = true;  // the unit's worker re-runs this subtree and pays
+    executed = false;
+  } catch (const PruneCut&) {
+    out.delta.pruned = 1;
+    executed = false;
+  } catch (const SleepCut&) {
+    executed = false;  // redundant subtree, carried in `reduced` alone
+  } catch (const StatefulCut&) {
+    // The (state, sleep-set) pair at this decision point was already
+    // explored: the subtree below is behaviour-identical to one already
+    // searched.
+    out.delta.stateful_cuts = 1;
+    executed = false;
+    if (opts.observer != nullptr) {
+      opts.observer->on_stateful_cut(1);
+    }
+  } catch (const StuckCut&) {
+    // Step quota tripped: the run did real work, so it counts as a (stuck)
+    // execution; its unexplored continuations are truncated — advance()
+    // moves on to the cut's siblings.
+    out.delta.stuck = 1;
+    out.stuck = "stuck execution: step quota (" +
+                std::to_string(opts.step_quota) + ") exceeded";
+    if (opts.observer != nullptr) {
+      opts.observer->on_stuck(*out.stuck);
+    }
+  }
+  if (executed) {
+    budget.consume();
+    out.delta.executions = 1;
+    out.delta.crashed = driver.crashes() > 0 ? 1 : 0;
+    out.delta.recovered = driver.recoveries() > 0 ? 1 : 0;
+  }
+  out.delta.reduced = driver.reduced();
+  return out;
+}
 
 // True when sleep-set metadata recorded at `d` says option `chosen` is
 // redundant: its process was asleep when the decision point was first
@@ -260,170 +269,209 @@ bool advance(std::vector<Decision>& trace, std::size_t floor,
   return false;
 }
 
-// Restart-DFS over the subtree rooted at `prefix` (decisions below `floor`
-// are fixed). Stops at the subtree's first violation — the lexicographically
-// least one, since DFS visits decision strings in lexicographic order — on
-// budget exhaustion, or when a canonically earlier work unit has already
-// reported a violation (nothing in this subtree can win then). When `cp` is
-// non-null (serial top-level search only) the loop periodically snapshots
-// (tallies, next prefix) to the checkpoint file.
-SubtreeStats explore_subtree(const ExecutionBody& body,
-                             std::vector<Decision> prefix, std::size_t floor,
-                             const Explorer::Options& opts, SearchState& state,
-                             std::uint64_t my_index,
-                             SerialCheckpoint* cp = nullptr) {
-  SubtreeStats stats;
-  BudgetScope budget(state);
+constexpr std::size_t kNoDecisionLimit = ~std::size_t{0};
+
+// The restart-DFS shared by the serial search, every subtree worker and the
+// frontier producer: run the next prefix, classify the outcome, hand it to
+// `sink`, and advance to the next prefix inside the subtree whose first
+// `floor` decisions are fixed. The producer passes its frontier depth as
+// `decision_limit`, so runs reaching it are cut into work units.
+//
+// Stops at the subtree's first violation — the lexicographically least
+// one, since DFS visits decision strings in lexicographic order — on budget
+// exhaustion, or when a canonically earlier work unit has already reported
+// a violation (nothing here can win then). Returns true when the subtree
+// was exhausted or stopped at its own violation.
+//
+// The sink provides `index()`, the canonical index of the next outcome
+// (compared against reported violations for cancellation); `take(outcome,
+// trace)`, called for every run; `skipped(tally)`, called with the subtrees
+// pruned or reduction-skipped while advancing past a run; and
+// `next(prefix)`, called with each next prefix (the checkpoint hook).
+template <class Sink>
+bool restart_dfs(const ExecutionBody& body, std::vector<Decision> prefix,
+                 std::size_t floor, std::size_t decision_limit,
+                 const Explorer::Options& opts, SearchState& state,
+                 BudgetScope& budget, Sink& sink) {
   const Explorer::PruneFn& prune = opts.prune;
   for (;;) {
-    if (state.log.best_index() < my_index) {
-      return stats;  // cancelled; these tallies will be discarded
+    if (state.log.best_index() < sink.index()) {
+      return false;  // cancelled: a canonically earlier violation won
     }
     if (!budget.ensure()) {
-      return stats;  // budget finally exhausted (`finished` stays false)
+      return false;  // budget finally exhausted
     }
-    const std::int64_t reduced_before = stats.reduced;
     ReplayDriver driver(std::move(prefix));
+    driver.set_decision_limit(decision_limit);
     driver.set_prune(prune ? &prune : nullptr);
     driver.set_reduction(opts.reduction == Reduction::kSleepSets);
     driver.set_max_crashes(opts.max_crashes);
     driver.set_max_recoveries(opts.max_recoveries);
     driver.set_step_quota(opts.step_quota);
     driver.set_stateful(state.visited.get());
-    bool stuck_now = false;
-    try {
-      if (std::optional<std::string> violation =
-              run_one(body, driver, opts.observer)) {
-        ++stats.executions;
-        budget.consume();
-        if (driver.crashes() > 0) {
-          ++stats.crashed;
-        }
-        if (driver.recoveries() > 0) {
-          ++stats.recovered;
-        }
-        stats.violation = std::move(violation);
-        stats.reduced += driver.reduced();
-        stats.trace = driver.take_trace();
-        stats.finished = true;
-        return stats;
-      }
-      ++stats.executions;
-      budget.consume();
-      if (driver.crashes() > 0) {
-        ++stats.crashed;
-      }
-      if (driver.recoveries() > 0) {
-        ++stats.recovered;
-      }
-    } catch (const PruneCut&) {
-      ++stats.pruned;  // cut probes consume no budget
-    } catch (const SleepCut&) {
-      // Redundant subtree, not an execution — consumes no budget.
-    } catch (const StatefulCut&) {
-      // The (state, sleep-set) pair at this decision point was already
-      // explored: the subtree below is behaviour-identical to one already
-      // searched. Like a reduction skip, consumes no budget.
-      ++stats.stateful;
-      if (opts.observer != nullptr) {
-        opts.observer->on_stateful_cut(1);
-      }
-    } catch (const StuckCut&) {
-      // Step quota tripped: the run did real work, so it counts as a
-      // (stuck) execution and consumes budget; its unexplored continuations
-      // are truncated — advance() below moves to the cut's siblings.
-      ++stats.executions;
-      budget.consume();
-      ++stats.stuck;
-      if (driver.crashes() > 0) {
-        ++stats.crashed;
-      }
-      if (driver.recoveries() > 0) {
-        ++stats.recovered;
-      }
-      stuck_now = true;
-    }
-    stats.reduced += driver.reduced();
+    Outcome out = run_and_classify(body, driver, opts, budget);
     std::vector<Decision> trace = driver.take_trace();
-    if (stuck_now) {
-      if (opts.observer != nullptr) {
-        opts.observer->on_stuck(stuck_message_for(opts.step_quota));
-      }
-      if (!stats.stuck_message) {
-        stats.stuck_message = stuck_message_for(opts.step_quota);
-        stats.stuck_trace = trace;  // copy: advance() mutates `trace` next
-      }
+    const std::int64_t reduced = out.delta.reduced;
+    const bool violated = out.violation.has_value();
+    sink.take(std::move(out), trace);
+    if (violated) {
+      return true;
     }
+    ExplorerTally skipped;
     const bool more =
-        advance(trace, floor, prune, stats.pruned, stats.reduced);
-    if (opts.observer != nullptr && stats.reduced > reduced_before) {
-      opts.observer->on_reduced(stats.reduced - reduced_before);
+        advance(trace, floor, prune, skipped.pruned, skipped.reduced);
+    sink.skipped(skipped);
+    if (opts.observer != nullptr && reduced + skipped.reduced > 0) {
+      opts.observer->on_reduced(reduced + skipped.reduced);
     }
     if (!more) {
-      stats.finished = true;
-      return stats;
+      return true;
     }
+    sink.next(trace);
     prefix = std::move(trace);
-    if (cp != nullptr && stats.executions - cp->last >= cp->every) {
-      cp->last = stats.executions;
-      ExplorerSnapshot s = *cp->proto;
-      s.executions += stats.executions;
-      s.pruned += stats.pruned;
-      s.reduced += stats.reduced;
-      s.crashed += stats.crashed;
-      s.recovered += stats.recovered;
-      s.stuck += stats.stuck;
-      s.stateful_cuts += stats.stateful;
-      if (!s.stuck_message && stats.stuck_message) {
-        s.stuck_message = stats.stuck_message;
-        s.stuck_trace = stats.stuck_trace;
-      }
-      s.prefix = prefix;
-      try {
-        save_snapshot(*cp->path, s);
-      } catch (const SimError&) {
-        // A periodic snapshot that still fails after save_snapshot's own
-        // retries must not kill the campaign: the search continues and the
-        // next period (or the final snapshot) tries again. The previous
-        // snapshot stays intact (atomic rename), so resume keeps working —
-        // it just redoes more of the tree.
-      }
-    }
   }
 }
 
-// One entry of the canonical (serial-DFS-order) emission sequence produced
-// by frontier enumeration: a completed shallow execution, a pruned or
-// reduction-skipped subtree, or a frontier work unit (a depth-d prefix whose
-// subtree a worker explores). Every event additionally carries the
-// reduction skips that occurred at (and while advancing past) it, so that
-// tallies truncated at a winning violation stay exact.
-struct EventMeta {
-  enum class Kind { kExecution, kPruned, kSkip, kStateful, kUnit };
-  Kind kind = Kind::kExecution;
-  std::int64_t reduced = 0;
-  bool crashed = false;    ///< kExecution: >= 1 crash landed in the execution
-  bool recovered = false;  ///< kExecution: >= 1 recovery landed
-  bool stuck = false;      ///< kExecution: cut by the step-quota watchdog
+// The snapshot every checkpoint of one search starts from: the option echo
+// plus the watermark a resumed search inherited (zero tallies on a fresh
+// explore). Periodic snapshots add the current progress on top.
+ExplorerSnapshot snapshot_proto(const Explorer::Options& opts,
+                                const ExplorerSnapshot* base) {
+  ExplorerSnapshot s;
+  if (base != nullptr) {
+    static_cast<ExplorerTally&>(s) = *base;
+    s.stuck_message = base->stuck_message;
+    s.stuck_trace = base->stuck_trace;
+  }
+  s.max_executions = opts.max_executions;
+  s.max_crashes = opts.max_crashes;
+  s.max_recoveries = opts.max_recoveries;
+  s.step_quota = opts.step_quota;
+  s.reduction = opts.reduction == Reduction::kSleepSets;
+  s.stateful = opts.stateful;
+  return s;
+}
+
+// `base` with a search's progress on top. The base's stuck winner, when
+// present (a resumed watermark's), canonically precedes anything found
+// after it.
+ExplorerSnapshot on_top(ExplorerSnapshot base, const ExplorerTally& progress,
+                        const std::optional<StuckExecution>& stuck) {
+  base += progress;
+  if (!base.stuck_message && stuck) {
+    base.stuck_message = stuck->message;
+    base.stuck_trace = stuck->trace;
+  }
+  return base;
+}
+
+// Periodic snapshots of one search, serial or parallel: once at least
+// `checkpoint_every` units of progress (completed executions serially,
+// canonical events in parallel) have passed since the last one, the
+// watermark tallies and restart prefix are written on top of the proto.
+class Checkpointer {
+ public:
+  Checkpointer(const Explorer::Options& opts, const ExplorerSnapshot& proto)
+      : path_(opts.checkpoint_path),
+        every_(opts.checkpoint_every),
+        proto_(proto) {}
+
+  bool due(std::int64_t progress) {
+    if (path_.empty() || progress - last_ < every_) {
+      return false;
+    }
+    last_ = progress;
+    return true;
+  }
+
+  void write(const ExplorerTally& watermark,
+             const std::optional<StuckExecution>& stuck,
+             const std::vector<Decision>& next) const {
+    ExplorerSnapshot s = on_top(proto_, watermark, stuck);
+    s.prefix = next;
+    try {
+      save_snapshot(path_, s);
+    } catch (const SimError&) {
+      // A periodic snapshot that still fails after save_snapshot's own
+      // retries must not kill the campaign: the search continues and the
+      // next period (or the final snapshot) tries again. The previous
+      // snapshot stays intact (it is only ever replaced by rename), so
+      // resume keeps working — it just redoes more of the tree.
+    }
+  }
+
+ private:
+  const std::string& path_;
+  std::int64_t every_;
+  const ExplorerSnapshot& proto_;
+  std::int64_t last_ = 0;  ///< progress at the previous snapshot
 };
 
-// One frontier work unit: stats filled by whichever thread explores it, the
-// prefix retained by the producer so checkpoints can name the watermark
-// unit's restart point, and a done flag publishing the stats (store-release
-// after the stats are written, load-acquire by the checkpoint scan).
-struct UnitRecord {
+// restart_dfs's sink inside one subtree: outcomes go straight into its
+// stats. The serial top-level search also checkpoints (tallies, next
+// prefix) through `cp`; parallel workers pass none.
+struct SubtreeSink {
+  SubtreeStats& stats;
+  std::uint64_t my_index;
+  Checkpointer* cp;
+
+  [[nodiscard]] std::uint64_t index() const noexcept { return my_index; }
+
+  void take(Outcome out, const std::vector<Decision>& trace) {
+    stats.tally += out.delta;
+    if (out.stuck && !stats.first_stuck) {
+      stats.first_stuck = StuckExecution{std::move(*out.stuck), trace};
+    }
+    if (out.violation) {
+      stats.violation = std::move(out.violation);
+      stats.trace = trace;
+    }
+  }
+
+  void skipped(const ExplorerTally& skips) { stats.tally += skips; }
+
+  void next(const std::vector<Decision>& prefix) {
+    if (cp != nullptr && cp->due(stats.tally.executions)) {
+      cp->write(stats.tally, stats.first_stuck, prefix);
+    }
+  }
+};
+
+SubtreeStats explore_subtree(const ExecutionBody& body,
+                             std::vector<Decision> prefix, std::size_t floor,
+                             const Explorer::Options& opts, SearchState& state,
+                             std::uint64_t my_index,
+                             Checkpointer* cp = nullptr) {
   SubtreeStats stats;
+  SubtreeSink sink{stats, my_index, cp};
+  BudgetScope budget(state);
+  stats.finished = restart_dfs(body, std::move(prefix), floor,
+                               kNoDecisionLimit, opts, state, budget, sink);
+  return stats;
+}
+
+// One frontier work unit: the depth-d prefix whose subtree a worker
+// explores (also read by checkpoints naming the watermark unit's restart
+// point), its canonical event index, the stats filled by whichever thread
+// explores it, and a done flag publishing the stats (store-release after
+// the stats are written, load-acquire by the checkpoint scan).
+struct UnitRecord {
+  std::uint64_t index = 0;
   std::vector<Decision> prefix;
+  SubtreeStats stats;
   std::atomic<bool> done{false};
 };
 
-// One frontier work unit streamed from the enumerator to a worker. The
-// record is a stable pointer into the producer-owned deque; the event
-// index orders the unit canonically for cancellation and aggregation.
-struct WorkItem {
-  std::uint64_t event_index = 0;
-  UnitRecord* record = nullptr;
-  std::vector<Decision> prefix;
+// One entry of the canonical (serial-DFS-order) event sequence produced by
+// frontier enumeration: a shallow run (execution or cut), a work unit, or
+// the subtrees pruned and reduction-skipped while advancing past the
+// previous entry — which in canonical order sit *after* a unit's whole
+// subtree, hence their own entry, so tallies truncated at a winning
+// violation inside that unit stay exact. A unit's subtree tallies live in
+// its record and count right after the entry's own delta.
+struct EventMeta {
+  ExplorerTally delta;
+  UnitRecord* unit = nullptr;
 };
 
 // Picks a frontier depth giving roughly 16+ work items per worker (assuming
@@ -438,107 +486,107 @@ std::size_t auto_frontier_depth(int threads) {
   return depth;
 }
 
-Explorer::Result finish_serial(SubtreeStats stats) {
-  Explorer::Result result;
-  result.executions = stats.executions;
-  result.pruned_subtrees = stats.pruned;
-  result.reduced_subtrees = stats.reduced;
-  result.crashed_executions = stats.crashed;
-  result.recovered_executions = stats.recovered;
-  result.stuck_executions = stats.stuck;
-  result.stateful_cuts = stats.stateful;
-  if (stats.stuck_message) {
-    result.first_stuck = StuckExecution{std::move(*stats.stuck_message),
-                                        std::move(stats.stuck_trace)};
-  }
-  if (stats.violation) {
-    result.violation = std::move(stats.violation);
-    result.violating_trace = std::move(stats.trace);
-  } else {
-    // Budget exhaustion leaves `finished` false, so no separate flag needed.
-    result.complete = stats.finished;
-  }
-  return result;
-}
+// Capacity of the frontier work-unit ring. When it is full the producer
+// drains a unit itself, so the ring only bounds how far enumeration runs
+// ahead of the workers.
+constexpr std::size_t kFrontierQueueCapacity = 256;
 
 // Streaming parallel exploration: the calling thread enumerates the decision
-// tree down to the frontier depth in serial DFS order, pushing each work
-// unit through a bounded ring to `threads - 1` workers as it is discovered
-// (and draining units itself when the ring backs up, or after enumeration
-// completes). Canonical aggregation afterwards walks the emission sequence
-// in order, truncating at the winning violation, so every reported tally is
+// tree down to the frontier depth in serial DFS order (restart_dfs with a
+// decision limit, this object as its sink), pushing each work unit through
+// a bounded ring to `threads - 1` workers as it is discovered — and
+// draining units itself when the ring backs up, or after enumeration
+// completes. Canonical aggregation afterwards walks the event sequence in
+// order, truncating at the winning violation, so every reported tally is
 // bit-identical to the serial explorer's regardless of thread timing.
-Explorer::Result explore_parallel(const ExecutionBody& body,
-                                  const Explorer::Options& opts, int threads,
-                                  std::vector<Decision> initial_prefix,
-                                  const ExplorerSnapshot& proto,
-                                  std::int64_t budget_total) {
-  SearchState state;
-  state.max_executions = budget_total;
-  if (opts.stateful) {
-    state.visited =
-        std::make_unique<detail::VisitedSet>(
-            static_cast<std::size_t>(opts.stateful_capacity));
+class ParallelSearch {
+ public:
+  ParallelSearch(const ExecutionBody& body, const Explorer::Options& opts,
+                 SearchState& state, Checkpointer& cp)
+      : body_(body), opts_(opts), state_(state), cp_(cp) {}
+
+  // Workers hold `this`.
+  ParallelSearch(const ParallelSearch&) = delete;
+  ParallelSearch& operator=(const ParallelSearch&) = delete;
+
+  SubtreeStats run(int threads, std::vector<Decision> initial_prefix) {
+    const std::size_t depth =
+        opts_.frontier_depth > 0
+            ? static_cast<std::size_t>(opts_.frontier_depth)
+            : auto_frontier_depth(threads);
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads - 1));
+    for (int w = 0; w < threads - 1; ++w) {
+      pool.emplace_back([this] { worker_loop(); });
+    }
+    const bool finished_tree =
+        restart_dfs(body_, std::move(initial_prefix), 0, depth, opts_, state_,
+                    producer_budget_, *this);
+    producer_budget_.release();
+    {
+      const std::lock_guard<std::mutex> lk(qmu_);
+      producer_done_ = true;
+    }
+    qcv_.notify_all();
+    worker_loop();  // help drain whatever is still queued
+    for (std::thread& t : pool) {
+      t.join();
+    }
+
+    // Canonical aggregation: sum the events up to and including the winning
+    // violation's. Units after the winner are excluded even if they ran (the
+    // serial DFS would never have entered them). Exhaustion manifests as an
+    // unfinished unit or an unfinished frontier, so `finished` needs no
+    // separate exhaustion flag (and cannot be spuriously false when the
+    // budget exactly equals the tree size).
+    SubtreeStats total;
+    const std::optional<ViolationLog::Entry> win = state_.log.winner();
+    const std::size_t end =
+        win ? std::min<std::size_t>(events_.size(), win->index + 1)
+            : events_.size();
+    total.finished = finished_tree;
+    sum_events(end, total.tally, total.finished);
+    if (win) {
+      total.violation = win->message;
+      total.trace = win->trace;
+    }
+    // The canonically first stuck execution — reported only when the serial
+    // DFS would have reached it before stopping (within one unit, DFS order
+    // puts the unit's stuck before its violation).
+    total.first_stuck = stuck_before(end);
+    return total;
   }
-  const std::size_t depth = opts.frontier_depth > 0
-                                ? static_cast<std::size_t>(opts.frontier_depth)
-                                : auto_frontier_depth(threads);
-  const bool checkpointing = !opts.checkpoint_path.empty();
 
-  std::vector<EventMeta> events;        // producer-only until workers join
-  std::deque<UnitRecord> unit_records;  // deque: grows with stable addresses
-  BoundedQueue<WorkItem> queue(opts.frontier_queue_capacity);
-  std::mutex qmu;
-  std::condition_variable qcv;
-  bool producer_done = false;  // guarded by qmu
-  bool producer_finished_tree = false;
+  // --- restart_dfs sink: the producer's outcomes become canonical events ---
 
-  const auto process_item = [&](WorkItem item) {
-    UnitRecord& rec = *item.record;
-    // Units arrive in canonical order; once a violation beats this unit it
-    // beats every later one too, so skip without exploring (the zeroed
-    // stats slot sits beyond the winner during aggregation anyway).
-    if (state.log.best_index() >= item.event_index) {
-      const std::size_t floor = item.prefix.size();
-      rec.stats = explore_subtree(body, std::move(item.prefix), floor, opts,
-                                  state, item.event_index);
-      if (rec.stats.violation) {
-        state.log.report(item.event_index, *rec.stats.violation,
-                         rec.stats.trace);
-      }
-      if (rec.stats.stuck_message) {
-        state.stuck_log.report(item.event_index, *rec.stats.stuck_message,
-                               rec.stats.stuck_trace);
-      }
+  [[nodiscard]] std::uint64_t index() const noexcept { return events_.size(); }
+
+  void take(Outcome out, const std::vector<Decision>& trace) {
+    UnitRecord* unit = nullptr;
+    if (out.unit) {
+      unit = &units_.emplace_back();
+      unit->index = events_.size();
+      unit->prefix = trace;
     }
-    rec.done.store(true, std::memory_order_release);
-  };
-
-  const auto worker_loop = [&]() {
-    WorkItem item;
-    for (;;) {
-      if (!queue.try_pop(item)) {
-        std::unique_lock<std::mutex> lk(qmu);
-        // Re-check under the lock: a push that raced our failed pop is
-        // visible here, and the producer notifies only after taking qmu,
-        // so a wakeup between the re-check and wait() cannot be missed.
-        if (queue.try_pop(item)) {
-          lk.unlock();
-        } else if (producer_done) {
-          return;
-        } else {
-          qcv.wait(lk);
-          continue;
-        }
-      }
-      process_item(std::move(item));
+    events_.push_back(EventMeta{out.delta, unit});
+    const std::uint64_t at = events_.size() - 1;
+    if (out.stuck) {
+      state_.stuck_log.report(at, std::move(*out.stuck), trace);
     }
-  };
+    if (out.violation) {
+      // A violating shallow execution beats everything that would have
+      // followed; restart_dfs stops enumerating.
+      state_.log.report(at, std::move(*out.violation), trace);
+    }
+    if (unit != nullptr) {
+      enqueue(unit);
+    }
+  }
 
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(threads - 1));
-  for (int w = 0; w < threads - 1; ++w) {
-    pool.emplace_back(worker_loop);
+  void skipped(const ExplorerTally& skips) {
+    if (skips.pruned > 0 || skips.reduced > 0) {
+      events_.push_back(EventMeta{skips, nullptr});
+    }
   }
 
   // Periodic checkpoint: the watermark is the tally over the longest
@@ -549,324 +597,119 @@ Explorer::Result explore_parallel(const ExecutionBody& body,
   // beyond the watermark is deliberately not saved: a resume redoes it, and
   // the canonical aggregation makes the redone tallies land on the same
   // final Result.
-  const auto write_parallel_snapshot =
-      [&](const std::vector<Decision>& producer_next) {
-        ExplorerSnapshot s = proto;
-        std::size_t u = 0;
-        const std::vector<Decision>* next = nullptr;
-        std::size_t watermark = events.size();
-        for (std::size_t i = 0; i < events.size(); ++i) {
-          const EventMeta& ev = events[i];
-          if (ev.kind == EventMeta::Kind::kUnit) {
-            UnitRecord& rec = unit_records[u];
-            if (!rec.done.load(std::memory_order_acquire)) {
-              next = &rec.prefix;
-              watermark = i;
-              break;
-            }
-            s.reduced += ev.reduced;  // shallow skips at the unit's probe
-            s.executions += rec.stats.executions;
-            s.pruned += rec.stats.pruned;
-            s.reduced += rec.stats.reduced;
-            s.crashed += rec.stats.crashed;
-            s.recovered += rec.stats.recovered;
-            s.stuck += rec.stats.stuck;
-            s.stateful_cuts += rec.stats.stateful;
-            ++u;
-            continue;
-          }
-          s.reduced += ev.reduced;
-          switch (ev.kind) {
-            case EventMeta::Kind::kExecution:
-              ++s.executions;
-              if (ev.crashed) {
-                ++s.crashed;
-              }
-              if (ev.recovered) {
-                ++s.recovered;
-              }
-              if (ev.stuck) {
-                ++s.stuck;
-              }
-              break;
-            case EventMeta::Kind::kPruned:
-              ++s.pruned;
-              break;
-            case EventMeta::Kind::kStateful:
-              ++s.stateful_cuts;
-              break;
-            default:
-              break;  // kSkip: carried entirely in `reduced`
-          }
-        }
-        if (!s.stuck_message) {
-          if (const std::optional<ViolationLog::Entry> sw =
-                  state.stuck_log.winner();
-              sw && sw->index < watermark) {
-            s.stuck_message = sw->message;
-            s.stuck_trace = sw->trace;
-          }
-        }
-        s.prefix = next != nullptr ? *next : producer_next;
-        try {
-          save_snapshot(opts.checkpoint_path, s);
-        } catch (const SimError&) {
-          // Periodic snapshot still failing after save_snapshot's retries:
-          // keep exploring (the previous snapshot is intact; the next
-          // period or the final snapshot tries again).
-        }
-      };
+  void next(const std::vector<Decision>& prefix) {
+    if (!cp_.due(static_cast<std::int64_t>(events_.size()))) {
+      return;
+    }
+    ExplorerTally watermark;
+    bool finished = true;
+    const std::size_t mark = sum_events(events_.size(), watermark, finished);
+    cp_.write(watermark, stuck_before(mark),
+              mark < events_.size() ? events_[mark].unit->prefix : prefix);
+  }
 
-  // Producer: serial-DFS frontier enumeration, streaming units out.
-  {
-    BudgetScope budget(state);
-    const Explorer::PruneFn& prune = opts.prune;
-    std::vector<Decision> prefix = std::move(initial_prefix);
-    std::vector<WorkItem> spilled;  // overflow units, re-injected at the end
-    std::ofstream spill_out;        // journal of spilled prefixes
-    std::size_t last_snapshot_events = 0;
+ private:
+  // Sums the events before `end` into `tally`, stopping at the first unit
+  // whose subtree is not done yet; returns where it stopped. Clears
+  // `finished` when a summed unit stopped short of exhausting its subtree.
+  std::size_t sum_events(std::size_t end, ExplorerTally& tally,
+                         bool& finished) const {
+    for (std::size_t i = 0; i < end; ++i) {
+      const EventMeta& ev = events_[i];
+      if (ev.unit != nullptr &&
+          !ev.unit->done.load(std::memory_order_acquire)) {
+        return i;
+      }
+      tally += ev.delta;
+      if (ev.unit != nullptr) {
+        tally += ev.unit->stats.tally;
+        finished = finished && ev.unit->stats.finished;
+      }
+    }
+    return end;
+  }
+
+  // The canonically first stuck execution among the events before `end`.
+  std::optional<StuckExecution> stuck_before(std::size_t end) const {
+    const std::optional<ViolationLog::Entry> sw = state_.stuck_log.winner();
+    if (!sw || sw->index >= end) {
+      return std::nullopt;
+    }
+    return StuckExecution{sw->message, sw->trace};
+  }
+
+  void enqueue(UnitRecord* unit) {
+    while (!queue_.try_push(std::move(unit))) {
+      // Ring full: drain one unit here (natural backpressure). Drop the
+      // producer's budget hold first — the drained subtree claims its own,
+      // and a grant held across a blocking drain could starve parked peers
+      // into deadlock.
+      producer_budget_.release();
+      UnitRecord* mine = nullptr;
+      if (queue_.try_pop(mine)) {
+        process(mine);
+      }
+    }
+    {
+      const std::lock_guard<std::mutex> lk(qmu_);
+    }
+    qcv_.notify_one();
+  }
+
+  void process(UnitRecord* unit) {
+    // Units arrive in canonical order; once a violation beats this unit it
+    // beats every later one too, so skip without exploring (the zeroed
+    // stats slot sits beyond the winner during aggregation anyway).
+    if (state_.log.best_index() >= unit->index) {
+      unit->stats = explore_subtree(body_, unit->prefix, unit->prefix.size(),
+                                    opts_, state_, unit->index);
+      const SubtreeStats& s = unit->stats;
+      if (s.violation) {
+        state_.log.report(unit->index, *s.violation, s.trace);
+      }
+      if (s.first_stuck) {
+        state_.stuck_log.report(unit->index, s.first_stuck->message,
+                                s.first_stuck->trace);
+      }
+    }
+    unit->done.store(true, std::memory_order_release);
+  }
+
+  void worker_loop() {
+    UnitRecord* unit = nullptr;
     for (;;) {
-      if (state.log.best_index() < events.size()) {
-        break;  // a reported violation canonically precedes the next event
-      }
-      if (!budget.ensure()) {
-        break;  // budget finally exhausted mid-frontier
-      }
-      ReplayDriver driver(std::move(prefix));
-      driver.set_decision_limit(depth);
-      driver.set_prune(prune ? &prune : nullptr);
-      driver.set_reduction(opts.reduction == Reduction::kSleepSets);
-      driver.set_max_crashes(opts.max_crashes);
-      driver.set_max_recoveries(opts.max_recoveries);
-      driver.set_step_quota(opts.step_quota);
-      driver.set_stateful(state.visited.get());
-      EventMeta ev;
-      bool is_unit = false;
-      bool stuck_now = false;
-      try {
-        if (std::optional<std::string> violation =
-                run_one(body, driver, opts.observer)) {
-          // A violating shallow execution beats everything that would have
-          // followed; report it and stop enumerating.
-          budget.consume();
-          ev.reduced = driver.reduced();
-          ev.crashed = driver.crashes() > 0;
-          ev.recovered = driver.recoveries() > 0;
-          events.push_back(ev);
-          state.log.report(events.size() - 1, *violation,
-                           driver.take_trace());
-          break;
-        }
-        budget.consume();
-        ev.crashed = driver.crashes() > 0;
-        ev.recovered = driver.recoveries() > 0;
-      } catch (const FrontierCut&) {
-        is_unit = true;  // the unit's worker re-runs this subtree and pays
-        ev.kind = EventMeta::Kind::kUnit;
-      } catch (const PruneCut&) {
-        ev.kind = EventMeta::Kind::kPruned;
-      } catch (const SleepCut&) {
-        ev.kind = EventMeta::Kind::kSkip;
-      } catch (const StatefulCut&) {
-        // Already-visited (state, sleep-set) pair above the frontier: the
-        // whole subtree (units included) is redundant. No budget consumed.
-        ev.kind = EventMeta::Kind::kStateful;
-        if (opts.observer != nullptr) {
-          opts.observer->on_stateful_cut(1);
-        }
-      } catch (const StuckCut&) {
-        // A shallow execution can trip the quota too (quota < frontier
-        // depth's worth of picks); same accounting as in explore_subtree.
-        budget.consume();
-        ev.crashed = driver.crashes() > 0;
-        ev.recovered = driver.recoveries() > 0;
-        ev.stuck = true;
-        stuck_now = true;
-      }
-      std::vector<Decision> trace = driver.take_trace();
-      ev.reduced = driver.reduced();
-      events.push_back(ev);
-      if (stuck_now) {
-        state.stuck_log.report(events.size() - 1,
-                               stuck_message_for(opts.step_quota), trace);
-        if (opts.observer != nullptr) {
-          opts.observer->on_stuck(stuck_message_for(opts.step_quota));
+      if (!queue_.try_pop(unit)) {
+        std::unique_lock<std::mutex> lk(qmu_);
+        // Re-check under the lock: a push that raced our failed pop is
+        // visible here, and the producer notifies only after taking qmu_,
+        // so a wakeup between the re-check and wait() cannot be missed.
+        if (queue_.try_pop(unit)) {
+          lk.unlock();
+        } else if (producer_done_) {
+          return;
+        } else {
+          qcv_.wait(lk);
+          continue;
         }
       }
-      if (is_unit) {
-        unit_records.emplace_back();
-        UnitRecord& rec = unit_records.back();
-        rec.prefix = trace;
-        WorkItem item{events.size() - 1, &rec, trace};
-        if (!queue.try_push(std::move(item))) {
-          if (checkpointing) {
-            // Graceful degradation under ring pressure: spill the *oldest*
-            // queued prefix to `<checkpoint_path>.spill` (journaled, then
-            // re-injected once enumeration finishes) so the newest unit
-            // takes its slot and enumeration keeps streaming instead of
-            // stalling behind a slow subtree.
-            while (!queue.try_push(std::move(item))) {
-              WorkItem oldest;
-              if (queue.try_pop(oldest)) {
-                if (!spill_out.is_open()) {
-                  spill_out.open(opts.checkpoint_path + ".spill",
-                                 std::ios::trunc);
-                }
-                spill_out << "{\"kind\":\"spill\",\"event\":"
-                          << oldest.event_index << ",\"prefix\":\""
-                          << encode_decisions(oldest.prefix) << "\"}\n";
-                spill_out.flush();
-                spilled.push_back(std::move(oldest));
-              }
-            }
-          } else {
-            // No spill target: drain one unit here (natural backpressure).
-            // Drop our budget hold first — the drained subtree claims its
-            // own, and a grant held across a blocking drain could starve
-            // parked peers into deadlock.
-            while (!queue.try_push(std::move(item))) {
-              budget.release();
-              WorkItem mine;
-              if (queue.try_pop(mine)) {
-                process_item(std::move(mine));
-              }
-            }
-          }
-        }
-        {
-          const std::lock_guard<std::mutex> lk(qmu);
-        }
-        qcv.notify_one();
-      }
-      std::int64_t advance_prunes = 0;
-      std::int64_t advance_reduced = 0;
-      const bool more =
-          advance(trace, 0, prune, advance_prunes, advance_reduced);
-      // Subtrees pruned or reduction-skipped while advancing sit between
-      // this event and the next in canonical order (in particular *after* a
-      // unit's whole subtree); record them separately so truncated tallies
-      // stay exact.
-      for (std::int64_t i = 0; i < advance_prunes; ++i) {
-        events.push_back(EventMeta{EventMeta::Kind::kPruned, 0});
-      }
-      if (advance_reduced > 0) {
-        events.push_back(
-            EventMeta{EventMeta::Kind::kSkip, advance_reduced});
-      }
-      if (opts.observer != nullptr && ev.reduced + advance_reduced > 0) {
-        opts.observer->on_reduced(ev.reduced + advance_reduced);
-      }
-      if (!more) {
-        producer_finished_tree = true;
-        break;
-      }
-      if (checkpointing &&
-          events.size() - last_snapshot_events >=
-              static_cast<std::size_t>(opts.checkpoint_every)) {
-        last_snapshot_events = events.size();
-        write_parallel_snapshot(trace);
-      }
-      prefix = std::move(trace);
-    }
-
-    // Re-inject spilled units, oldest first: the ring only drains from here
-    // on, so this terminates; inline drains keep the producer useful while
-    // it waits for slots.
-    for (WorkItem& it : spilled) {
-      while (!queue.try_push(std::move(it))) {
-        budget.release();
-        WorkItem mine;
-        if (queue.try_pop(mine)) {
-          process_item(std::move(mine));
-        }
-      }
-      {
-        const std::lock_guard<std::mutex> lk(qmu);
-      }
-      qcv.notify_one();
-    }
-  }  // producer's budget hold refunded here
-
-  {
-    const std::lock_guard<std::mutex> lk(qmu);
-    producer_done = true;
-  }
-  qcv.notify_all();
-  worker_loop();  // help drain whatever is still queued
-  for (std::thread& t : pool) {
-    t.join();
-  }
-
-  // Canonical aggregation: walk the emission sequence in order, stopping at
-  // the winning violation. Units after the winner are excluded even if they
-  // ran (the serial DFS would never have entered them), so `executions` and
-  // `pruned_subtrees` are bit-identical to the serial explorer's regardless
-  // of thread timing.
-  Explorer::Result result;
-  const std::optional<ViolationLog::Entry> win = state.log.winner();
-  const std::uint64_t winner_index = win ? win->index : ViolationLog::kNone;
-  bool all_finished = producer_finished_tree;
-  std::size_t u = 0;
-  for (std::size_t i = 0; i < events.size() && i <= winner_index; ++i) {
-    result.reduced_subtrees += events[i].reduced;
-    switch (events[i].kind) {
-      case EventMeta::Kind::kExecution:
-        ++result.executions;
-        if (events[i].crashed) {
-          ++result.crashed_executions;
-        }
-        if (events[i].recovered) {
-          ++result.recovered_executions;
-        }
-        if (events[i].stuck) {
-          ++result.stuck_executions;
-        }
-        break;
-      case EventMeta::Kind::kPruned:
-        ++result.pruned_subtrees;
-        break;
-      case EventMeta::Kind::kSkip:
-        break;  // reduction skips carried in the `reduced` field above
-      case EventMeta::Kind::kStateful:
-        ++result.stateful_cuts;
-        break;
-      case EventMeta::Kind::kUnit:
-        result.executions += unit_records[u].stats.executions;
-        result.pruned_subtrees += unit_records[u].stats.pruned;
-        result.reduced_subtrees += unit_records[u].stats.reduced;
-        result.crashed_executions += unit_records[u].stats.crashed;
-        result.recovered_executions += unit_records[u].stats.recovered;
-        result.stuck_executions += unit_records[u].stats.stuck;
-        result.stateful_cuts += unit_records[u].stats.stateful;
-        all_finished = all_finished && unit_records[u].stats.finished;
-        ++u;
-        break;
+      process(unit);
     }
   }
-  if (state.visited != nullptr) {
-    result.stateful_states =
-        static_cast<std::int64_t>(state.visited->size());
-  }
-  if (win) {
-    result.violation = win->message;
-    result.violating_trace = win->trace;
-  } else {
-    // Exhaustion manifests as an unfinished unit or an unfinished frontier,
-    // so `complete` needs no separate exhaustion flag (and cannot be
-    // spuriously false when the budget exactly equals the tree size).
-    result.complete = all_finished;
-  }
-  // The canonically first stuck execution — reported only when the serial
-  // DFS would have reached it before stopping (its index at or before the
-  // winner's; within one unit, DFS order puts the unit's stuck before its
-  // violation).
-  if (const std::optional<ViolationLog::Entry> sw = state.stuck_log.winner();
-      sw && sw->index <= winner_index) {
-    result.first_stuck = StuckExecution{sw->message, sw->trace};
-  }
-  return result;
-}
 
+  const ExecutionBody& body_;
+  const Explorer::Options& opts_;
+  SearchState& state_;
+  Checkpointer& cp_;
+  BudgetScope producer_budget_{state_};
+  std::vector<EventMeta> events_;  // producer-only until workers join
+  std::deque<UnitRecord> units_;   // deque: grows with stable addresses
+  BoundedQueue<UnitRecord*> queue_{kFrontierQueueCapacity};
+  std::mutex qmu_;
+  std::condition_variable qcv_;
+  bool producer_done_ = false;  // guarded by qmu_
+};
+
+// The one conversion from canonical tallies to the public Result.
 Explorer::Result result_from_snapshot(const ExplorerSnapshot& s) {
   Explorer::Result r;
   r.executions = s.executions;
@@ -885,29 +728,6 @@ Explorer::Result result_from_snapshot(const ExplorerSnapshot& s) {
     r.first_stuck = StuckExecution{*s.stuck_message, s.stuck_trace};
   }
   return r;
-}
-
-ExplorerSnapshot snapshot_of_result(const Explorer::Options& opts,
-                                    const Explorer::Result& r) {
-  ExplorerSnapshot s = snapshot_proto(opts, nullptr);
-  s.executions = r.executions;
-  s.pruned = r.pruned_subtrees;
-  s.reduced = r.reduced_subtrees;
-  s.crashed = r.crashed_executions;
-  s.recovered = r.recovered_executions;
-  s.stuck = r.stuck_executions;
-  s.stateful_cuts = r.stateful_cuts;
-  s.done = true;
-  s.complete = r.complete;
-  if (r.violation) {
-    s.violation = r.violation;
-    s.violating_trace = r.violating_trace;
-  }
-  if (r.first_stuck) {
-    s.stuck_message = r.first_stuck->message;
-    s.stuck_trace = r.first_stuck->trace;
-  }
-  return s;
 }
 
 void validate_options(const Explorer::Options& opts) {
@@ -950,10 +770,6 @@ void validate_options(const Explorer::Options& opts) {
                    "got " +
                    std::to_string(opts.checkpoint_every));
   }
-  if (opts.frontier_queue_capacity == 0) {
-    throw SimError(
-        "Explorer::Options::frontier_queue_capacity must be non-zero");
-  }
 }
 
 // The shared implementation behind explore() and resume(): runs the search
@@ -966,50 +782,35 @@ Explorer::Result explore_impl(const ExecutionBody& body,
                               const ExplorerSnapshot* base) {
   const int threads = Explorer::resolve_threads(opts.threads);
   const ExplorerSnapshot proto = snapshot_proto(opts, base);
-  const std::int64_t budget = opts.max_executions - proto.executions;
-  Explorer::Result result;
-  if (threads <= 1) {
-    SearchState state;
-    state.max_executions = budget;
-    if (opts.stateful) {
-      state.visited =
-          std::make_unique<detail::VisitedSet>(
-            static_cast<std::size_t>(opts.stateful_capacity));
-    }
-    SerialCheckpoint cp{&opts.checkpoint_path, opts.checkpoint_every, &proto,
-                        0};
-    SerialCheckpoint* sink = opts.checkpoint_path.empty() ? nullptr : &cp;
-    SubtreeStats stats = explore_subtree(body, std::move(initial_prefix),
-                                         /*floor=*/0, opts, state,
-                                         /*my_index=*/0, sink);
-    result = finish_serial(std::move(stats));
-    if (state.visited != nullptr) {
-      result.stateful_states =
-          static_cast<std::int64_t>(state.visited->size());
-    }
-  } else {
-    result = explore_parallel(body, opts, threads, std::move(initial_prefix),
-                              proto, budget);
+  SearchState state;
+  state.max_executions = opts.max_executions - proto.executions;
+  if (opts.stateful) {
+    state.visited = std::make_unique<detail::VisitedSet>(
+        static_cast<std::size_t>(opts.stateful_capacity));
   }
-  // Fold the resumed-from watermark back in. The base's stuck winner, when
-  // present, canonically precedes anything found after the watermark.
-  result.executions += proto.executions;
-  result.pruned_subtrees += proto.pruned;
-  result.reduced_subtrees += proto.reduced;
-  result.crashed_executions += proto.crashed;
-  result.recovered_executions += proto.recovered;
-  result.stuck_executions += proto.stuck;
-  result.stateful_cuts += proto.stateful_cuts;
-  if (proto.stuck_message) {
-    result.first_stuck =
-        StuckExecution{*proto.stuck_message, proto.stuck_trace};
-  }
-  if (opts.shrink_violations && result.violation) {
-    result.violating_trace =
-        Explorer::shrink(body, std::move(result.violating_trace));
+  Checkpointer cp(opts, proto);
+  SubtreeStats stats =
+      threads <= 1
+          ? explore_subtree(body, std::move(initial_prefix), /*floor=*/0, opts,
+                            state, /*my_index=*/0, &cp)
+          : ParallelSearch(body, opts, state, cp)
+                .run(threads, std::move(initial_prefix));
+
+  ExplorerSnapshot fin = on_top(proto, stats.tally, stats.first_stuck);
+  fin.done = true;
+  fin.complete = !stats.violation && stats.finished;
+  if (stats.violation) {
+    fin.violation = std::move(stats.violation);
+    fin.violating_trace =
+        opts.shrink_violations ? Explorer::shrink(body, std::move(stats.trace))
+                               : std::move(stats.trace);
   }
   if (!opts.checkpoint_path.empty()) {
-    save_snapshot(opts.checkpoint_path, snapshot_of_result(opts, result));
+    save_snapshot(opts.checkpoint_path, fin);
+  }
+  Explorer::Result result = result_from_snapshot(fin);
+  if (state.visited != nullptr) {
+    result.stateful_states = static_cast<std::int64_t>(state.visited->size());
   }
   return result;
 }

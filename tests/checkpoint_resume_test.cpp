@@ -1,8 +1,9 @@
 // Campaign hardening: checkpoint/resume of the exhaustive explorer
-// (checking/checkpoint.hpp) and graceful degradation of the parallel
-// frontier ring (spill-to-disk). The load-bearing claim: killing a campaign
-// at an arbitrary periodic snapshot and resuming produces the bit-identical
-// final Result an uninterrupted run reports, at any thread count.
+// (checking/checkpoint.hpp) and backpressure in the parallel frontier ring
+// (the producer drains units inline). The load-bearing claim: killing a
+// campaign at an arbitrary periodic snapshot and resuming produces the
+// bit-identical final Result an uninterrupted run reports, at any thread
+// count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -167,9 +168,9 @@ void run_kill_and_resume(const ExecutionBody& body, Explorer::Options opts,
     const auto reloaded = Explorer::resume(body, cp, resumed_opts);
     expect_same_result(reloaded, uninterrupted, tag + " reloaded");
 
+    EXPECT_FALSE(file_exists(cp + ".spill")) << tag;
     remove_file(cp);
     remove_file(keep);
-    remove_file(cp + ".spill");
   }
 }
 
@@ -285,18 +286,21 @@ TEST(CheckpointResume, DecisionStringsRoundTripIncludingCrashFlags) {
     EXPECT_EQ(decoded[i].recover, trace[i].recover) << i;
   }
   EXPECT_THROW(decode_decisions("1/2/3"), SimError);
-  EXPECT_THROW(decode_decisions("5/2/0/0/0"), SimError);    // chosen >= arity
-  EXPECT_THROW(decode_decisions("0/2/0/0/7"), SimError);    // bad crash flag
+  EXPECT_THROW(decode_decisions("5/2/0/0/0/0"), SimError);  // chosen >= arity
+  EXPECT_THROW(decode_decisions("0/2/0/0/7/0"), SimError);  // bad crash flag
   EXPECT_THROW(decode_decisions("0/2/0/0/0/7"), SimError);  // bad recover flag
+  EXPECT_THROW(decode_decisions("0/2/0/0/0/0/0"), SimError);  // seven fields
+  // Hostile numerals: an empty field, signs, and values overflowing the
+  // field's type are rejected rather than read as 0 or wrapped.
+  EXPECT_THROW(decode_decisions("/3/0/0/0/0"), SimError);
+  EXPECT_THROW(decode_decisions("1/-3/0/0/0/0"), SimError);
+  EXPECT_THROW(decode_decisions("0/4294967297/0/0/0/0"), SimError);
+  EXPECT_THROW(decode_decisions("2/3/-1/0/0/0"), SimError);
 
-  // Five-field tokens from pre-recovery snapshots read back with
-  // recover = false, bit-exactly otherwise.
-  const auto legacy = decode_decisions("1/3/7/2/1");
-  ASSERT_EQ(legacy.size(), 1u);
-  EXPECT_EQ(legacy[0].chosen, 1);
-  EXPECT_EQ(legacy[0].arity, 3);
-  EXPECT_TRUE(legacy[0].crash);
-  EXPECT_FALSE(legacy[0].recover);
+  // Five-field tokens (the pre-recovery format) are rejected, alone and
+  // inside an otherwise valid string.
+  EXPECT_THROW(decode_decisions("1/3/7/2/1"), SimError);
+  EXPECT_THROW(decode_decisions("0/2/0/0/0/0 1/3/7/2/1"), SimError);
 }
 
 TEST(CheckpointResume, SnapshotFilesSurviveLoadSaveRoundTrip) {
@@ -339,73 +343,130 @@ TEST(CheckpointResume, SnapshotFilesSurviveLoadSaveRoundTrip) {
   remove_file(cp);
 }
 
+TEST(CheckpointResume, LoadRejectsSnapshotsMissingAnyField) {
+  // Pre-recovery and pre-stateful snapshots lacked max_recoveries/recovered
+  // and stateful/stateful_cuts; every field is required now, so such files
+  // (and any other truncated line) are rejected instead of read as zero.
+  const std::string cp = temp_path("subc_ckpt_fields.jsonl");
+  ExplorerSnapshot snap;
+  snap.max_executions = 10;
+  save_snapshot(cp, snap);
+  const std::string full = read_file(cp);
+  EXPECT_NO_THROW(load_snapshot(cp));
+  for (const std::string key :
+       {"max_recoveries", "stateful", "recovered", "stateful_cuts", "done"}) {
+    const std::string field = "\"" + key + "\":";
+    const std::size_t at = full.find(field);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t end = full.find_first_of(",}", at);
+    std::string cut = full;
+    cut.erase(at, end - at + (cut[end] == ',' ? 1 : 0));
+    {
+      std::ofstream out(cp, std::ios::trunc);
+      out << cut;
+    }
+    EXPECT_THROW(load_snapshot(cp), SimError) << key;
+  }
+  remove_file(cp);
+}
+
 // ---------------------------------------------------------------------------
-// Graceful degradation: a tiny frontier ring under a fast producer spills
-// the oldest prefixes to `<checkpoint>.spill` instead of stalling, and the
-// final Result is still bit-identical.
+// Backpressure: a frontier with more units than the fixed work-unit ring
+// holds makes the producer drain units inline; the checkpointed search stays
+// exact, resumes exactly, and writes no file besides its snapshot.
 // ---------------------------------------------------------------------------
 
-TEST(CheckpointResume, FrontierRingPressureSpillsAndStaysExact) {
-  // The gate makes ring pressure deterministic instead of a race: in the
-  // tight run, every completed execution spin-waits (AFTER its last
-  // decision, so traces and results are unaffected) until the spill
-  // journal exists. The lone worker therefore sits in its first subtree
-  // while the producer streams the remaining depth-2 prefixes into a
-  // 2-slot ring — the overflow, and hence the journal, is guaranteed, and
-  // the producer's spill path never blocks, so neither side can deadlock.
-  // Producer enumeration attempts are cut at the frontier before the body
-  // finishes, so they never reach the gate.
-  const auto gated_body = [](std::shared_ptr<std::atomic<bool>> spill_seen,
-                             std::string spill_path) -> ExecutionBody {
-    return [spill_seen = std::move(spill_seen),
-            spill_path = std::move(spill_path)](ScheduleDriver& driver) {
+TEST(CheckpointResume, FrontierRingPressureDrainsInlineAndStaysExact) {
+  // 4 processes x 2 writes: 8!/2^4 = 2520 executions under kNone, each with
+  // at least 6 recorded decisions, so a depth-5 frontier holds 600 units and
+  // the producer completes no execution while enumerating. The gate makes
+  // ring pressure deterministic: a completed execution on any thread but the
+  // producer's waits (after its last decision, so traces and results are
+  // unaffected) until the producer has completed one itself. The lone
+  // worker therefore sits in its first unit while the producer fills the
+  // ring, and the only way for the producer to complete an execution before
+  // it finishes enumerating is to drain a unit inline once the ring is full.
+  struct Gate {
+    std::thread::id producer = std::this_thread::get_id();
+    std::atomic<bool> drained{false};
+    std::atomic<bool> gave_up{false};
+    std::atomic<int> probes_after_drain{0};
+  };
+  const auto body = [](std::shared_ptr<Gate> gate) -> ExecutionBody {
+    return [gate = std::move(gate)](ScheduleDriver& driver) {
       Runtime rt;
-      RegisterArray<> regs(3, kBottom);
-      for (int p = 0; p < 3; ++p) {
+      RegisterArray<> regs(4, kBottom);
+      for (int p = 0; p < 4; ++p) {
         rt.add_process([&, p](Context& ctx) {
-          for (int i = 0; i < 3; ++i) {
-            regs[p].write(ctx, i);
-          }
+          regs[p].write(ctx, 1);
+          regs[p].write(ctx, 2);
         });
       }
-      rt.run(driver);
-      if (spill_path.empty() || spill_seen->load(std::memory_order_relaxed)) {
+      try {
+        rt.run(driver);
+      } catch (...) {
+        // No prune, no reduction, no quota: the only cut is the frontier,
+        // i.e. the producer still enumerating.
+        if (gate && gate->drained.load()) {
+          gate->probes_after_drain.fetch_add(1);
+        }
+        throw;
+      }
+      if (!gate) {
         return;
       }
-      // Bounded wait (~30 s) so a spill regression fails the asserts below
-      // instead of tripping the ctest timeout.
-      for (int spin = 0; spin < 600'000; ++spin) {
-        if (file_exists(spill_path)) {
-          spill_seen->store(true, std::memory_order_relaxed);
+      if (std::this_thread::get_id() == gate->producer) {
+        gate->drained.store(true);
+        return;
+      }
+      // Bounded wait, after which the gate opens for good, so a regression
+      // fails the asserts below instead of tripping the ctest timeout.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(20);
+      while (std::chrono::steady_clock::now() < deadline) {
+        if (gate->drained.load() || gate->gave_up.load()) {
           return;
         }
         std::this_thread::sleep_for(std::chrono::microseconds(50));
       }
+      gate->gave_up.store(true);
     };
   };
   Explorer::Options reference;
-  reference.reduction = Reduction::kNone;  // 9!/(3!3!3!) = 1680 executions
-  const auto serial =
-      Explorer::explore(gated_body(std::make_shared<std::atomic<bool>>(), ""),
-                        reference);
-  EXPECT_EQ(serial.executions, 1680);
+  reference.reduction = Reduction::kNone;
+  const auto serial = Explorer::explore(body(nullptr), reference);
+  ASSERT_EQ(serial.executions, 2520);
 
-  const std::string cp = temp_path("subc_ckpt_spill.jsonl");
+  const std::string cp = temp_path("subc_ckpt_ring.jsonl");
+  const std::string keep = temp_path("subc_ckpt_ring_keep.jsonl");
   remove_file(cp);
-  remove_file(cp + ".spill");
+  remove_file(keep);
   Explorer::Options tight = reference;
-  tight.threads = 2;          // one worker, kept busy by whole subtrees
-  tight.frontier_depth = 2;   // 9 units of ~190 executions each
-  tight.frontier_queue_capacity = 2;
+  tight.threads = 2;         // one worker, kept busy by whole subtrees
+  tight.frontier_depth = 5;  // 600 units: more than the ring holds
   tight.checkpoint_path = cp;
-  const auto spilled = Explorer::explore(
-      gated_body(std::make_shared<std::atomic<bool>>(), cp + ".spill"), tight);
-  expect_same_result(spilled, serial, "spill");
-  EXPECT_TRUE(file_exists(cp + ".spill"));
-  EXPECT_NE(read_file(cp + ".spill").find("\"kind\":\"spill\""),
-            std::string::npos);
+  tight.checkpoint_every = 16;
+  KillPoint killer(cp, keep, 1200);  // keeps a mid-run snapshot aside
+  tight.observer = &killer;
+  const auto gate = std::make_shared<Gate>();
+  const auto pressured = Explorer::explore(body(gate), tight);
+  expect_same_result(pressured, serial, "ring pressure");
+  EXPECT_FALSE(gate->gave_up.load());
+  EXPECT_GT(gate->probes_after_drain.load(), 0)
+      << "the producer never drained a unit while enumerating";
+  EXPECT_FALSE(file_exists(cp + ".spill"));
+
+  tight.observer = nullptr;
+  expect_same_result(Explorer::resume(body(nullptr), cp, tight), serial,
+                     "ring pressure, final snapshot");
+  ASSERT_TRUE(file_exists(keep));
+  EXPECT_FALSE(load_snapshot(keep).done);
+  expect_same_result(Explorer::resume(body(std::make_shared<Gate>()), keep,
+                                      tight),
+                     serial, "ring pressure, mid-run snapshot");
+  EXPECT_FALSE(file_exists(cp + ".spill"));
   remove_file(cp);
-  remove_file(cp + ".spill");
+  remove_file(keep);
 }
 
 }  // namespace

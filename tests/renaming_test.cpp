@@ -11,9 +11,12 @@
 namespace subc {
 namespace {
 
+// Both fields are `int` so the struct has no padding: gtest names each case
+// by dumping the parameter's bytes, and a `bool` here left three
+// uninitialised padding bytes that made the test names differ run to run.
 struct Case {
   int participants;
-  bool register_snapshot;
+  int register_snapshot;
 };
 
 class RenamingSweep : public ::testing::TestWithParam<Case> {};
