@@ -36,6 +36,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -364,28 +365,29 @@ inline ExplorerSnapshot load_snapshot(const std::string& path) {
     }
     const std::string kind = jd::string_field(line, "kind");
     if (kind == "header") {
-      const std::int64_t version = jd::int_field_or_throw(line, "version");
+      const std::int64_t version = jd::int_field(line, "version");
       if (version != 1) {
         throw SimError("load_snapshot: unsupported snapshot version " +
                        std::to_string(version));
       }
-      snap.max_executions = jd::int_field_or_throw(line, "max_executions");
+      snap.max_executions = jd::int_field(line, "max_executions");
+      constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
       snap.max_crashes =
-          static_cast<int>(jd::int_field_or_throw(line, "max_crashes"));
-      snap.max_recoveries =
-          static_cast<int>(jd::int_field_or_throw(line, "max_recoveries"));
-      snap.step_quota = jd::int_field_or_throw(line, "step_quota");
+          static_cast<int>(jd::int_field(line, "max_crashes", 0, kIntMax));
+      snap.max_recoveries = static_cast<int>(
+          jd::int_field(line, "max_recoveries", 0, kIntMax));
+      snap.step_quota = jd::int_field(line, "step_quota");
       snap.reduction = jd::string_field(line, "reduction") == "sleep";
       snap.stateful = cd::bool_field(line, "stateful");
       saw_header = true;
     } else if (kind == "state") {
-      snap.executions = jd::int_field_or_throw(line, "executions");
-      snap.pruned = jd::int_field_or_throw(line, "pruned");
-      snap.reduced = jd::int_field_or_throw(line, "reduced");
-      snap.crashed = jd::int_field_or_throw(line, "crashed");
-      snap.recovered = jd::int_field_or_throw(line, "recovered");
-      snap.stuck = jd::int_field_or_throw(line, "stuck");
-      snap.stateful_cuts = jd::int_field_or_throw(line, "stateful_cuts");
+      snap.executions = jd::int_field(line, "executions");
+      snap.pruned = jd::int_field(line, "pruned");
+      snap.reduced = jd::int_field(line, "reduced");
+      snap.crashed = jd::int_field(line, "crashed");
+      snap.recovered = jd::int_field(line, "recovered");
+      snap.stuck = jd::int_field(line, "stuck");
+      snap.stateful_cuts = jd::int_field(line, "stateful_cuts");
       snap.done = cd::bool_field(line, "done");
       snap.complete = cd::bool_field(line, "complete");
       if (cd::has_field(line, "violation")) {

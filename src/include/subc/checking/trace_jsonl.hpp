@@ -29,15 +29,18 @@
 // throw `SimError`.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <ostream>
 #include <span>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "subc/runtime/history.hpp"
@@ -234,27 +237,34 @@ struct ParsedTrace {
 
 namespace jsonl_detail {
 
-/// Extracts the number following `"key":` in `line`; `found=false` (and 0)
-/// when the key is absent.
-inline std::int64_t int_field(std::string_view line, std::string_view key,
-                              bool& found) {
+/// Extracts the integer following `"key":` in `line` and checks that it
+/// lies in [lo, hi] — the range of the field it is stored into. Throws
+/// `SimError` naming the field when the key is absent, when what follows is
+/// not an optional '-' and at least one digit ending at ',' or '}', or when
+/// the value overflows int64 or the range.
+inline std::int64_t int_field(
+    std::string_view line, std::string_view key,
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
   const std::string pat = "\"" + std::string(key) + "\":";
   const std::size_t at = line.find(pat);
+  const auto fail = [&](const char* what) {
+    throw SimError("parse_trace_jsonl: " + std::string(what) + " \"" +
+                   std::string(key) + "\" in: " + std::string(line));
+  };
   if (at == std::string_view::npos) {
-    found = false;
-    return 0;
+    fail("missing field");
   }
-  found = true;
-  return std::strtoll(line.data() + at + pat.size(), nullptr, 10);
-}
-
-inline std::int64_t int_field_or_throw(std::string_view line,
-                                       std::string_view key) {
-  bool found = false;
-  const std::int64_t v = int_field(line, key, found);
-  if (!found) {
-    throw SimError("parse_trace_jsonl: missing field \"" + std::string(key) +
-                   "\" in: " + std::string(line));
+  const char* first = line.data() + at + pat.size();
+  const char* last = line.data() + line.size();
+  std::int64_t v = 0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec == std::errc::invalid_argument ||
+      (end != last && *end != ',' && *end != '}')) {
+    fail("non-integer field");
+  }
+  if (ec == std::errc::result_out_of_range || v < lo || v > hi) {
+    fail("out-of-range field");
   }
   return v;
 }
@@ -344,7 +354,16 @@ inline ParsedTrace parse_trace_jsonl(const std::string& text) {
   namespace jd = jsonl_detail;
   ParsedTrace out;
   // source handle -> index in out.history (parallel to HistoryRecorder).
-  std::vector<std::size_t> handle_map;
+  // A map, not a vector indexed by handle: a hostile handle must not size
+  // an allocation.
+  std::unordered_map<std::int64_t, std::size_t> handle_map;
+  const auto pid_field = [](std::string_view l) {
+    return static_cast<int>(
+        jd::int_field(l, "pid", 0, std::numeric_limits<int>::max()));
+  };
+  const auto handle_field = [](std::string_view l) {
+    return jd::int_field(l, "handle", 0);
+  };
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
@@ -361,43 +380,34 @@ inline ParsedTrace parse_trace_jsonl(const std::string& text) {
     } else if (ev == "crash") {
       ++out.crashes;
       out.crash_events.push_back(
-          CrashEvent{static_cast<int>(jd::int_field_or_throw(line, "pid")),
-                     jd::int_field_or_throw(line, "step")});
+          CrashEvent{pid_field(line), jd::int_field(line, "step")});
     } else if (ev == "recover") {
       ++out.recoveries;
       out.recover_events.push_back(
-          RecoverEvent{static_cast<int>(jd::int_field_or_throw(line, "pid")),
-                       jd::int_field_or_throw(line, "step")});
+          RecoverEvent{pid_field(line), jd::int_field(line, "step")});
     } else if (ev == "invoke") {
       HistoryEntry e;
-      e.pid = static_cast<int>(jd::int_field_or_throw(line, "pid"));
-      e.invoked_at = jd::int_field_or_throw(line, "t");
+      e.pid = pid_field(line);
+      e.invoked_at = jd::int_field(line, "t");
       e.op = jd::values_field(line, "op");
-      const auto handle =
-          static_cast<std::size_t>(jd::int_field_or_throw(line, "handle"));
-      if (handle_map.size() <= handle) {
-        handle_map.resize(handle + 1, static_cast<std::size_t>(-1));
-      }
-      handle_map[handle] = out.history.restore(std::move(e));
+      handle_map[handle_field(line)] = out.history.restore(std::move(e));
     } else if (ev == "respond") {
-      const auto handle =
-          static_cast<std::size_t>(jd::int_field_or_throw(line, "handle"));
-      if (handle >= handle_map.size() ||
-          handle_map[handle] == static_cast<std::size_t>(-1)) {
+      const auto it = handle_map.find(handle_field(line));
+      if (it == handle_map.end()) {
         throw SimError("parse_trace_jsonl: respond without invoke: " + line);
       }
       // Completing a restored entry: rebuild it in place with the recorded
       // response and timestamp.
-      HistoryEntry e = out.history.entries()[handle_map[handle]];
+      HistoryEntry e = out.history.entries()[it->second];
       e.response = jd::values_field(line, "resp");
-      e.responded_at = jd::int_field_or_throw(line, "t");
-      out.history.amend(handle_map[handle], std::move(e));
+      e.responded_at = jd::int_field(line, "t");
+      out.history.amend(it->second, std::move(e));
     } else if (ev == "violation") {
       out.violations.push_back(jd::string_field(line, "msg"));
     } else if (ev == "stuck") {
       out.stuck.push_back(jd::string_field(line, "msg"));
     } else if (ev == "run_end") {
-      out.total_steps = jd::int_field_or_throw(line, "steps");
+      out.total_steps = jd::int_field(line, "steps");
       out.quiescent = line.find("\"quiescent\":true") != std::string::npos;
     } else {
       throw SimError("parse_trace_jsonl: unknown event \"" + ev +

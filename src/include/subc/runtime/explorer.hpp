@@ -171,8 +171,12 @@ class Explorer {
     bool stateful = false;
 
     /// Capacity of the stateful visited set (entries; the backing table is
-    /// sized for ~70% peak load). When full, further states are explored
-    /// without cutting — still sound, just fewer cuts. Must be positive.
+    /// sized for ~70% peak load, 8 bytes per slot). This bounds the table's
+    /// memory: its address space is reserved up front, but resident memory
+    /// grows only with the pages the search touches (runtime/hashing.hpp),
+    /// so a large capacity costs a small search almost nothing. When full,
+    /// further states are explored without cutting — still sound, just
+    /// fewer cuts. Must be positive.
     std::int64_t stateful_capacity = std::int64_t{1} << 20;
 
     /// Per-execution step-quota watchdog: an execution consuming more than

@@ -7,9 +7,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <new>
 #include <string_view>
 #include <vector>
+
+#include <sys/mman.h>
 
 namespace subc::detail {
 
@@ -99,27 +101,53 @@ inline std::uint64_t fp_of(const std::vector<std::int64_t>& vs) noexcept {
 /// the explorer's visited-(state, sleep-set) cache. The single-threaded
 /// `FingerprintSet` in checking/linearizability.hpp is the shape model
 /// (0-sentinel empty slots, 0 remapped to 1, linear probing); this variant
-/// trades growth for lock-freedom: slots are plain atomics, insertion is a
-/// CAS race whose loser re-reads the slot, and when the table reaches its
-/// load limit further probes report "not seen" without inserting. That
+/// trades growth for lock-freedom: slots are accessed atomically, insertion
+/// is a CAS race whose loser re-reads the slot, and when the table reaches
+/// its load limit further probes report "not seen" without inserting. That
 /// saturation rule is sound — the explorer just stops taking cuts — and
 /// keeps the memory bound the `stateful_capacity` knob promises.
+///
+/// The slot array is an anonymous private mapping: the kernel hands out
+/// zero pages and commits each one on its first write, so constructing a
+/// default-capacity table (2^21 slots, 16 MiB of address space) costs tens
+/// of microseconds and resident memory grows with the 4 KiB pages the
+/// search actually touches, up to the same bound. On 4-CPU x86-64 VMs a
+/// first touch cost 1.6-6 us per page, against 4-6 ms to zero the whole
+/// array eagerly, so zero pages win below roughly 1,000-3,000 touched pages
+/// of 4,096; a small search touches about one page per state it records.
+/// Slots are plain words accessed through `std::atomic_ref`: constructing
+/// `std::atomic` slots would write every one of them again. `calloc` is no
+/// substitute: after glibc frees one such block it raises its mmap
+/// threshold, and later tables come from the heap and are `memset` again.
 class VisitedSet {
  public:
   /// `capacity` = maximum number of distinct keys the set will hold.
   /// Slots are sized to the next power of two at most ~70% loaded.
+  /// Throws `std::bad_alloc` when the slot array cannot be mapped.
   explicit VisitedSet(std::size_t capacity) {
     std::size_t slots = 64;
     while (slots * 7 < capacity * 10) {
       slots *= 2;
     }
-    slots_ = std::make_unique<std::atomic<std::uint64_t>[]>(slots);
-    for (std::size_t i = 0; i < slots; ++i) {
-      slots_[i].store(0, std::memory_order_relaxed);
+    void* mem = ::mmap(nullptr, slots * sizeof(std::uint64_t),
+                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                       -1, 0);
+    if (mem == MAP_FAILED) {
+      throw std::bad_alloc();
     }
+    // Where transparent huge pages are always on, a first touch would zero
+    // a whole 2 MiB page and scattered keys would commit the full table.
+    // Advisory only: on failure the mapping keeps the default policy.
+    ::madvise(mem, slots * sizeof(std::uint64_t), MADV_NOHUGEPAGE);
+    slots_ = static_cast<std::uint64_t*>(mem);
     num_slots_ = slots;
     max_size_ = slots * 7 / 10;
   }
+
+  ~VisitedSet() { ::munmap(slots_, num_slots_ * sizeof(std::uint64_t)); }
+
+  VisitedSet(const VisitedSet&) = delete;
+  VisitedSet& operator=(const VisitedSet&) = delete;
 
   /// Returns true iff `key` was already present ("seen — cut here").
   /// Otherwise tries to insert it and returns false; when the table is
@@ -130,7 +158,8 @@ class VisitedSet {
     key += (key == 0);
     const std::uint64_t mask = num_slots_ - 1;
     for (std::uint64_t i = key & mask;; i = (i + 1) & mask) {
-      std::uint64_t cur = slots_[i].load(std::memory_order_relaxed);
+      std::atomic_ref<std::uint64_t> slot(slots_[i]);
+      std::uint64_t cur = slot.load(std::memory_order_relaxed);
       if (cur == key) {
         hits_.fetch_add(1, std::memory_order_relaxed);
         return true;
@@ -139,8 +168,8 @@ class VisitedSet {
         if (size_.load(std::memory_order_relaxed) >= max_size_) {
           return false;  // saturated: sound, just no more cuts
         }
-        if (slots_[i].compare_exchange_strong(cur, key,
-                                              std::memory_order_relaxed)) {
+        if (slot.compare_exchange_strong(cur, key,
+                                         std::memory_order_relaxed)) {
           size_.fetch_add(1, std::memory_order_relaxed);
           return false;
         }
@@ -165,7 +194,9 @@ class VisitedSet {
   }
 
  private:
-  std::unique_ptr<std::atomic<std::uint64_t>[]> slots_;
+  static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free);
+
+  std::uint64_t* slots_ = nullptr;
   std::size_t num_slots_ = 0;
   std::size_t max_size_ = 0;
   std::atomic<std::size_t> size_{0};

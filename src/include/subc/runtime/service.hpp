@@ -70,7 +70,11 @@ using ServiceId = InstanceId;
 /// the value with a release store; `lookup` only reports keys whose value
 /// is fully published, so a reader can never observe a half-recorded
 /// decision. All outcomes of a miss are sound: the caller just runs
-/// agreement itself.
+/// agreement itself. Unlike `VisitedSet`, the slot array is built eagerly:
+/// a saturated service round records ~93k keys and touches nearly every
+/// page, so zero-page backing only moved the page faults onto the shard
+/// workers' timed path (measured: service time-to-verdict 15-35% worse and
+/// decide p99 doubled in two of three runs).
 class DecisionMemo {
  public:
   /// `capacity` = maximum number of recorded decisions; slots are sized to

@@ -14,6 +14,8 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "subc/checking/checkpoint.hpp"
 #include "subc/objects/register.hpp"
@@ -347,6 +349,7 @@ TEST(CheckpointResume, LoadRejectsSnapshotsMissingAnyField) {
   // Pre-recovery and pre-stateful snapshots lacked max_recoveries/recovered
   // and stateful/stateful_cuts; every field is required now, so such files
   // (and any other truncated line) are rejected instead of read as zero.
+  // So is a present integer field whose value is malformed or out of range.
   const std::string cp = temp_path("subc_ckpt_fields.jsonl");
   ExplorerSnapshot snap;
   snap.max_executions = 10;
@@ -366,6 +369,33 @@ TEST(CheckpointResume, LoadRejectsSnapshotsMissingAnyField) {
       out << cut;
     }
     EXPECT_THROW(load_snapshot(cp), SimError) << key;
+  }
+  // Hostile integer fields are rejected too: no digits, trailing garbage,
+  // int64 overflow, and values that do not fit the field they load into
+  // (max_crashes/max_recoveries are non-negative ints).
+  for (const auto& [key, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"version", "x"},
+           {"max_executions", ""},
+           {"max_executions", "99999999999999999999"},
+           {"max_crashes", "4294967297"},
+           {"max_crashes", "-1"},
+           {"max_recoveries", "2147483648"},
+           {"step_quota", "7q"},
+           {"executions", "+3"},
+           {"stateful_cuts", "1e3"},
+       }) {
+    const std::string field = "\"" + key + "\":";
+    const std::size_t at = full.find(field);
+    ASSERT_NE(at, std::string::npos) << key;
+    const std::size_t begin = at + field.size();
+    std::string hostile = full;
+    hostile.replace(begin, full.find_first_of(",}", begin) - begin, value);
+    {
+      std::ofstream out(cp, std::ios::trunc);
+      out << hostile;
+    }
+    EXPECT_THROW(load_snapshot(cp), SimError) << key << "=" << value;
   }
   remove_file(cp);
 }

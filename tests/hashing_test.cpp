@@ -4,18 +4,30 @@
 // repo), an avalanche smoke check, and the concurrent open-addressing
 // VisitedSet, including a collision-forcing probe walk mirroring
 // linearizability_memo_test's approach of attacking the memo where keys
-// alias.
+// alias, and the set's resident-memory footprint (zero-page-backed slots).
 #include "subc/runtime/hashing.hpp"
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <bit>
 #include <cstdint>
+#include <fstream>
 #include <thread>
 #include <vector>
 
 namespace subc {
 namespace {
+
+// Resident set size in bytes, from /proc/self/statm (Linux).
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size_pages = 0;
+  std::int64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return statm ? resident_pages * ::sysconf(_SC_PAGESIZE) : -1;
+}
 
 TEST(Hashing, Mix64PinnedValues) {
   // splitmix64 finalizer — reference values. These are load-bearing: every
@@ -181,6 +193,21 @@ TEST(VisitedSet, ConcurrentInsertsOfSameKeyHaveExactlyOneWinner) {
     EXPECT_EQ(winners, 1) << "key " << k;
   }
   EXPECT_EQ(set.size(), static_cast<std::int64_t>(kKeys));
+}
+
+TEST(VisitedSet, ResidentMemoryFollowsTouchedSlotsNotCapacity) {
+  // The explorer's default capacity maps 2^21 slots (16 MiB of address
+  // space). A search that records a handful of states pays only for the
+  // pages those states touch — not for zeroing the whole array up front.
+  const std::int64_t before = resident_bytes();
+  ASSERT_GT(before, 0);
+  detail::VisitedSet set(std::size_t{1} << 20);
+  ASSERT_EQ(set.slot_count(), std::size_t{1} << 21);
+  for (std::uint64_t k = 1; k <= 64; ++k) {
+    EXPECT_FALSE(set.check_and_insert(detail::mix64(k))) << k;
+  }
+  EXPECT_EQ(set.size(), 64);
+  EXPECT_LT(resident_bytes() - before, std::int64_t{2} << 20);
 }
 
 }  // namespace

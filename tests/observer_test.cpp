@@ -436,6 +436,32 @@ TEST(TraceJsonl, ParserRejectsGarbage) {
   EXPECT_THROW(parse_trace_jsonl("{\"ev\":\"respond\",\"pid\":0,\"handle\":3,"
                                  "\"t\":1,\"resp\":[]}"),
                SimError);
+  // Hostile integer fields: no digits, trailing garbage, int64 overflow,
+  // and values outside the field's range (a pid must fit an int, a handle
+  // must not be negative) are rejected rather than read as 0 or wrapped.
+  for (const char* line : {
+           "{\"ev\":\"crash\",\"pid\":x,\"step\":1}",
+           "{\"ev\":\"crash\",\"pid\":,\"step\":1}",
+           "{\"ev\":\"crash\",\"pid\":+1,\"step\":1}",
+           "{\"ev\":\"crash\",\"pid\":1x,\"step\":1}",
+           "{\"ev\":\"crash\",\"pid\":4294967297,\"step\":1}",
+           "{\"ev\":\"recover\",\"pid\":-1,\"step\":1}",
+           "{\"ev\":\"recover\",\"pid\":0,\"step\":99999999999999999999}",
+           "{\"ev\":\"invoke\",\"pid\":0,\"handle\":-1,\"t\":1,\"op\":[0]}",
+           "{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":1.5,\"op\":[0]}",
+           "{\"ev\":\"run_end\",\"steps\":-,\"quiescent\":true}",
+       }) {
+    EXPECT_THROW(parse_trace_jsonl(line), SimError) << line;
+  }
+  // A handle far beyond any history is only a key, never an allocation
+  // size: it parses, and its respond pairs with it.
+  const ParsedTrace far = parse_trace_jsonl(
+      "{\"ev\":\"invoke\",\"pid\":0,\"handle\":9223372036854775807,"
+      "\"t\":1,\"op\":[0]}\n"
+      "{\"ev\":\"respond\",\"pid\":0,\"handle\":9223372036854775807,"
+      "\"t\":2,\"resp\":[5]}");
+  ASSERT_EQ(far.history.entries().size(), 1u);
+  EXPECT_EQ(far.history.entries()[0].response.front(), 5);
 }
 
 }  // namespace

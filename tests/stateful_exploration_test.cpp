@@ -11,10 +11,13 @@
 //     degrade to zero cuts (the poison rule), never to a wrong verdict;
 //   - the new knobs are validated, and checkpoints follow the documented
 //     cold-restart rule (visited set not serialized; stateful echo matched
-//     on resume).
+//     on resume);
+//   - every search releases its visited set: back-to-back default-capacity
+//     searches repeat their tallies without growing peak memory.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <span>
 #include <string>
 
@@ -78,6 +81,18 @@ ExecutionBody unported_body() {
     }
     rt.run(driver);
   };
+}
+
+// Peak resident set size in KiB (VmHWM in /proc/self/status, Linux).
+std::int64_t peak_rss_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoll(line.substr(6));
+    }
+  }
+  return -1;
 }
 
 Explorer::Result explore(const ExecutionBody& body, bool stateful,
@@ -253,6 +268,28 @@ TEST(StatefulExploration, CheckpointFollowsColdRestartRule) {
   EXPECT_THROW(Explorer::resume(body, path, mismatched), SimError);
 
   std::remove(path.c_str());
+}
+
+TEST(StatefulExploration, BackToBackSearchesReleaseTheirVisitedSets) {
+  // Each stateful explore builds a default-capacity visited set (2^21
+  // slots, 16 MiB of address space) and must release it on return. A
+  // hundred searches in a row repeat their tallies exactly, and peak RSS
+  // grows by less than half of one eagerly zeroed table — a leaked mapping
+  // (one search's touched pages each) or eager zeroing would exceed it.
+  const ExecutionBody body = mixed_body(3);
+  const std::int64_t peak_before = peak_rss_kib();
+  ASSERT_GT(peak_before, 0);
+  const auto first = explore(body, /*stateful=*/true);
+  ASSERT_GT(first.stateful_cuts, 0);
+  for (int i = 1; i < 100; ++i) {
+    const auto r = explore(body, /*stateful=*/true);
+    ASSERT_EQ(r.executions, first.executions) << i;
+    ASSERT_EQ(r.stateful_cuts, first.stateful_cuts) << i;
+    ASSERT_EQ(r.stateful_states, first.stateful_states) << i;
+    ASSERT_EQ(r.reduced_subtrees, first.reduced_subtrees) << i;
+    ASSERT_EQ(r.complete, first.complete) << i;
+  }
+  EXPECT_LT(peak_rss_kib() - peak_before, 8 * 1024);
 }
 
 }  // namespace
