@@ -389,9 +389,10 @@ ctest --test-dir build-ubsan --output-on-failure --timeout "${CTEST_TIMEOUT}"
 
 # --- ThreadSanitizer: guard the parallel explorer's work queue and -------
 # cancellation paths (and the fiber layer's TSan integration), and the
-# visited set's atomic_ref slots over raw mapped pages: the exactly-one-
-# winner insert race (hashing_test) and parallel stateful searches sharing
-# one table (stateful_exploration_test).
+# atomic_ref slots over raw mapped pages: the visited set's exactly-one-
+# winner insert race (hashing_test), parallel stateful searches sharing
+# one table (stateful_exploration_test), and the decision memo's claim/
+# publish pair (sharded_service_test).
 cmake -B build-tsan -G Ninja \
   -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer -g -O1" \
   -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"

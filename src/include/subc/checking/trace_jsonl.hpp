@@ -364,6 +364,12 @@ inline ParsedTrace parse_trace_jsonl(const std::string& text) {
   const auto handle_field = [](std::string_view l) {
     return jd::int_field(l, "handle", 0);
   };
+  // A history clock reading: never negative (-1 marks a pending response),
+  // and below int64 max so the restored clock can step past it.
+  const auto time_field = [](std::string_view l) {
+    return jd::int_field(l, "t", 0,
+                         std::numeric_limits<std::int64_t>::max() - 1);
+  };
   std::istringstream in(text);
   std::string line;
   while (std::getline(in, line)) {
@@ -388,7 +394,7 @@ inline ParsedTrace parse_trace_jsonl(const std::string& text) {
     } else if (ev == "invoke") {
       HistoryEntry e;
       e.pid = pid_field(line);
-      e.invoked_at = jd::int_field(line, "t");
+      e.invoked_at = time_field(line);
       e.op = jd::values_field(line, "op");
       handle_map[handle_field(line)] = out.history.restore(std::move(e));
     } else if (ev == "respond") {
@@ -400,7 +406,7 @@ inline ParsedTrace parse_trace_jsonl(const std::string& text) {
       // response and timestamp.
       HistoryEntry e = out.history.entries()[it->second];
       e.response = jd::values_field(line, "resp");
-      e.responded_at = jd::int_field(line, "t");
+      e.responded_at = time_field(line);
       out.history.amend(it->second, std::move(e));
     } else if (ev == "violation") {
       out.violations.push_back(jd::string_field(line, "msg"));

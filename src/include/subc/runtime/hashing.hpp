@@ -7,11 +7,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <new>
 #include <string_view>
 #include <vector>
 
-#include <sys/mman.h>
+#include "subc/runtime/slot_mapping.hpp"
 
 namespace subc::detail {
 
@@ -107,47 +106,24 @@ inline std::uint64_t fp_of(const std::vector<std::int64_t>& vs) noexcept {
 /// saturation rule is sound — the explorer just stops taking cuts — and
 /// keeps the memory bound the `stateful_capacity` knob promises.
 ///
-/// The slot array is an anonymous private mapping: the kernel hands out
-/// zero pages and commits each one on its first write, so constructing a
-/// default-capacity table (2^21 slots, 16 MiB of address space) costs tens
-/// of microseconds and resident memory grows with the 4 KiB pages the
-/// search actually touches, up to the same bound. On 4-CPU x86-64 VMs a
-/// first touch cost 1.6-6 us per page, against 4-6 ms to zero the whole
-/// array eagerly, so zero pages win below roughly 1,000-3,000 touched pages
-/// of 4,096; a small search touches about one page per state it records.
-/// Slots are plain words accessed through `std::atomic_ref`: constructing
-/// `std::atomic` slots would write every one of them again. `calloc` is no
-/// substitute: after glibc frees one such block it raises its mmap
-/// threshold, and later tables come from the heap and are `memset` again.
+/// The slot array is a `SlotMapping` (runtime/slot_mapping.hpp) with the
+/// commit-on-touch policy: the kernel hands out zero pages and commits each
+/// one on its first write, so constructing a default-capacity table (2^21
+/// slots, 16 MiB of address space) costs tens of microseconds and resident
+/// memory grows with the 4 KiB pages the search actually touches, up to the
+/// same bound. On 4-CPU x86-64 VMs a first touch cost 1.6-6 us per page,
+/// against 4-6 ms to zero the whole array eagerly, so zero pages win below
+/// roughly 1,000-3,000 touched pages of 4,096; a small search touches about
+/// one page per state it records. (The service's `DecisionMemo` fills up on
+/// a timed path instead, and takes the commit-up-front policy.)
 class VisitedSet {
  public:
   /// `capacity` = maximum number of distinct keys the set will hold.
   /// Slots are sized to the next power of two at most ~70% loaded.
   /// Throws `std::bad_alloc` when the slot array cannot be mapped.
-  explicit VisitedSet(std::size_t capacity) {
-    std::size_t slots = 64;
-    while (slots * 7 < capacity * 10) {
-      slots *= 2;
-    }
-    void* mem = ::mmap(nullptr, slots * sizeof(std::uint64_t),
-                       PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
-                       -1, 0);
-    if (mem == MAP_FAILED) {
-      throw std::bad_alloc();
-    }
-    // Where transparent huge pages are always on, a first touch would zero
-    // a whole 2 MiB page and scattered keys would commit the full table.
-    // Advisory only: on failure the mapping keeps the default policy.
-    ::madvise(mem, slots * sizeof(std::uint64_t), MADV_NOHUGEPAGE);
-    slots_ = static_cast<std::uint64_t*>(mem);
-    num_slots_ = slots;
-    max_size_ = slots * 7 / 10;
-  }
-
-  ~VisitedSet() { ::munmap(slots_, num_slots_ * sizeof(std::uint64_t)); }
-
-  VisitedSet(const VisitedSet&) = delete;
-  VisitedSet& operator=(const VisitedSet&) = delete;
+  explicit VisitedSet(std::size_t capacity)
+      : slots_(table_slots(capacity), Commit::kOnTouch),
+        max_size_(slots_.size() * 7 / 10) {}
 
   /// Returns true iff `key` was already present ("seen — cut here").
   /// Otherwise tries to insert it and returns false; when the table is
@@ -156,7 +132,7 @@ class VisitedSet {
   /// so two executions probing the same state cannot both cut on it.
   bool check_and_insert(std::uint64_t key) noexcept {
     key += (key == 0);
-    const std::uint64_t mask = num_slots_ - 1;
+    const std::uint64_t mask = slots_.size() - 1;
     for (std::uint64_t i = key & mask;; i = (i + 1) & mask) {
       std::atomic_ref<std::uint64_t> slot(slots_[i]);
       std::uint64_t cur = slot.load(std::memory_order_relaxed);
@@ -188,7 +164,9 @@ class VisitedSet {
   [[nodiscard]] std::int64_t hits() const noexcept {
     return static_cast<std::int64_t>(hits_.load(std::memory_order_relaxed));
   }
-  [[nodiscard]] std::size_t slot_count() const noexcept { return num_slots_; }
+  [[nodiscard]] std::size_t slot_count() const noexcept {
+    return slots_.size();
+  }
   [[nodiscard]] bool saturated() const noexcept {
     return size_.load(std::memory_order_relaxed) >= max_size_;
   }
@@ -196,9 +174,8 @@ class VisitedSet {
  private:
   static_assert(std::atomic_ref<std::uint64_t>::is_always_lock_free);
 
-  std::uint64_t* slots_ = nullptr;
-  std::size_t num_slots_ = 0;
-  std::size_t max_size_ = 0;
+  SlotMapping<std::uint64_t> slots_;
+  std::size_t max_size_;
   std::atomic<std::size_t> size_{0};
   std::atomic<std::size_t> hits_{0};
 };

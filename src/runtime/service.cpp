@@ -53,38 +53,37 @@ std::vector<int> usable_cpus(bool* probe_ok) {
 
 // --- DecisionMemo ---------------------------------------------------------
 
-DecisionMemo::DecisionMemo(std::size_t capacity) {
-  std::size_t slots = 64;
-  while (slots * 7 < capacity * 10) {
-    slots *= 2;
-  }
-  slots_ = std::make_unique<Slot[]>(slots);
-  num_slots_ = slots;
-  max_size_ = slots * 7 / 10;
-}
+DecisionMemo::DecisionMemo(std::size_t capacity)
+    : slots_(detail::table_slots(capacity), detail::Commit::kUpFront),
+      max_size_(slots_.size() * 7 / 10) {}
 
 std::optional<Value> DecisionMemo::lookup(std::uint64_t key) const noexcept {
   key += (key == 0);
-  const std::uint64_t mask = num_slots_ - 1;
+  const std::uint64_t mask = slots_.size() - 1;
   for (std::uint64_t i = key & mask;; i = (i + 1) & mask) {
-    const std::uint64_t cur = slots_[i].key.load(std::memory_order_acquire);
+    Slot& slot = slots_[i];
+    const std::uint64_t cur =
+        std::atomic_ref(slot.key).load(std::memory_order_acquire);
     if (cur == 0) {
       return std::nullopt;  // absent
     }
     if (cur == key) {
-      if (slots_[i].published.load(std::memory_order_acquire) == 0) {
+      if (std::atomic_ref(slot.published).load(std::memory_order_acquire) ==
+          0) {
         return std::nullopt;  // recording in flight: sound miss
       }
-      return slots_[i].value.load(std::memory_order_relaxed);
+      return std::atomic_ref(slot.value).load(std::memory_order_relaxed);
     }
   }
 }
 
 bool DecisionMemo::record(std::uint64_t key, Value decided) noexcept {
   key += (key == 0);
-  const std::uint64_t mask = num_slots_ - 1;
+  const std::uint64_t mask = slots_.size() - 1;
   for (std::uint64_t i = key & mask;; i = (i + 1) & mask) {
-    std::uint64_t cur = slots_[i].key.load(std::memory_order_relaxed);
+    Slot& slot = slots_[i];
+    const std::atomic_ref slot_key(slot.key);
+    std::uint64_t cur = slot_key.load(std::memory_order_relaxed);
     if (cur == key) {
       return false;  // already claimed (published or in flight)
     }
@@ -92,10 +91,10 @@ bool DecisionMemo::record(std::uint64_t key, Value decided) noexcept {
       if (size_.load(std::memory_order_relaxed) >= max_size_) {
         return false;  // saturated: sound, just no more dedup
       }
-      if (slots_[i].key.compare_exchange_strong(cur, key,
-                                                std::memory_order_acq_rel)) {
-        slots_[i].value.store(decided, std::memory_order_relaxed);
-        slots_[i].published.store(1, std::memory_order_release);
+      if (slot_key.compare_exchange_strong(cur, key,
+                                           std::memory_order_acq_rel)) {
+        std::atomic_ref(slot.value).store(decided, std::memory_order_relaxed);
+        std::atomic_ref(slot.published).store(1, std::memory_order_release);
         size_.fetch_add(1, std::memory_order_relaxed);
         return true;
       }

@@ -438,7 +438,8 @@ TEST(TraceJsonl, ParserRejectsGarbage) {
                SimError);
   // Hostile integer fields: no digits, trailing garbage, int64 overflow,
   // and values outside the field's range (a pid must fit an int, a handle
-  // must not be negative) are rejected rather than read as 0 or wrapped.
+  // must not be negative, a timestamp must be a clock reading the restored
+  // history can step past) are rejected rather than read as 0 or wrapped.
   for (const char* line : {
            "{\"ev\":\"crash\",\"pid\":x,\"step\":1}",
            "{\"ev\":\"crash\",\"pid\":,\"step\":1}",
@@ -449,6 +450,9 @@ TEST(TraceJsonl, ParserRejectsGarbage) {
            "{\"ev\":\"recover\",\"pid\":0,\"step\":99999999999999999999}",
            "{\"ev\":\"invoke\",\"pid\":0,\"handle\":-1,\"t\":1,\"op\":[0]}",
            "{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":1.5,\"op\":[0]}",
+           "{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":-1,\"op\":[0]}",
+           "{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,"
+           "\"t\":9223372036854775807,\"op\":[0]}",
            "{\"ev\":\"run_end\",\"steps\":-,\"quiescent\":true}",
        }) {
     EXPECT_THROW(parse_trace_jsonl(line), SimError) << line;

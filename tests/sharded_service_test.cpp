@@ -11,10 +11,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "subc/runtime/hashing.hpp"
 
@@ -48,6 +52,30 @@ ServiceId open_consensus(ShardedService& svc, Value v,
   }
   return id;
 }
+
+// Resident set size in bytes, from /proc/self/statm (Linux).
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t size_pages = 0;
+  std::int64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return statm ? resident_pages * ::sysconf(_SC_PAGESIZE) : -1;
+}
+
+// Peak resident set size in bytes (VmHWM in /proc/self/status, Linux).
+std::int64_t peak_resident_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoll(line.substr(6)) * 1024;
+    }
+  }
+  return -1;
+}
+
+// A memo slot is three words: key, published flag, value.
+constexpr std::int64_t kMemoSlotBytes = 3 * sizeof(std::uint64_t);
 
 template <typename Pred>
 bool wait_until(Pred pred) {
@@ -200,6 +228,66 @@ TEST(DecisionMemo, SaturationIsASoundNoOp) {
   EXPECT_FALSE(memo.lookup(overflow).has_value());
   // Recorded keys still hit.
   EXPECT_EQ(*memo.lookup(detail::mix64(std::uint64_t{1})), 7);
+}
+
+TEST(DecisionMemo, RecordsBottomDecisions) {
+  // ⊥ is a legitimate decision (the first response served; a 1sWRN op
+  // often returns it), so it must record, hit and win like any other value.
+  DecisionMemo memo(1024);
+  const std::uint64_t key = detail::fp_request_domain(0xb07ULL);
+  EXPECT_TRUE(memo.record(key, kBottom));
+  const auto hit = memo.lookup(key);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(*hit, kBottom);
+  EXPECT_FALSE(memo.record(key, 42));
+  EXPECT_EQ(*memo.lookup(key), kBottom);
+  EXPECT_EQ(memo.size(), 1);
+}
+
+TEST(DecisionMemo, ConstructionCommitsTheWholeTable) {
+  // The memo commits every page in its constructor, so the shard workers
+  // that record into it never take a page fault. A lazily committed table
+  // would show almost no growth here and then grow with every record.
+  const std::int64_t before = resident_bytes();
+  ASSERT_GT(before, 0);
+  DecisionMemo memo(std::size_t{1} << 20);
+  ASSERT_EQ(memo.slot_count(), std::size_t{1} << 21);
+  const std::int64_t table =
+      static_cast<std::int64_t>(memo.slot_count()) * kMemoSlotBytes;
+  const std::int64_t built = resident_bytes();
+  EXPECT_GE(built - before, table * 9 / 10);
+  for (std::uint64_t k = 1; k <= 10'000; ++k) {
+    ASSERT_TRUE(memo.record(detail::mix64(k), static_cast<Value>(k)));
+  }
+#ifndef __SANITIZE_THREAD__
+  // (Under ThreadSanitizer every recorded slot also commits shadow and
+  // sync metadata pages, which statm cannot tell from the memo's own.)
+  EXPECT_LT(resident_bytes() - built, std::int64_t{1} << 20);
+#endif
+}
+
+TEST(ShardedService, BackToBackServicesReleaseTheirMemos) {
+  // Every service maps a default-capacity memo (48 MiB) and must unmap it
+  // on destruction: the peak resident set stays within one memo of the
+  // first service's however many services come and go.
+  const std::int64_t memo_bytes =
+      static_cast<std::int64_t>(
+          detail::table_slots(ServiceOptions{}.dedup_capacity)) *
+      kMemoSlotBytes;
+  const auto cycle = [](int i) {
+    ShardedService svc(fast_options(2), [](const DecidedView&) {});
+    open_consensus(svc, i, /*request_fp=*/0x600dULL + i);
+    svc.stop();
+  };
+  cycle(0);
+  const std::int64_t base = peak_resident_bytes();
+  ASSERT_GT(base, 0);
+  // A leaked memo shows within a cycle or two; stop there rather than
+  // pile up 20 of them.
+  for (int i = 1; i <= 20 && peak_resident_bytes() - base < memo_bytes; ++i) {
+    cycle(i);
+  }
+  EXPECT_LT(peak_resident_bytes() - base, memo_bytes);
 }
 
 TEST(ShardedService, ReplayedRequestsShortCircuitToTheRecordedDecision) {
