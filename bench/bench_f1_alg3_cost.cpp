@@ -45,7 +45,7 @@ Row measure(int k, FunctionFamily family, const char* name, int rounds,
   long worst = 0;
   const subc_bench::Stopwatch sw;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         AnonymousSetConsensus algorithm(k, k, family);
         std::vector<Value> inputs;
@@ -120,12 +120,6 @@ int main() {
   subc_bench::Json out;
   out.set("bench", "F1").set("threads", threads).set("rows", rows).set(
       "pass", ok);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_F1.json", out);
   std::printf("\nF1 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

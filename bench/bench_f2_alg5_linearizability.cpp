@@ -47,7 +47,7 @@ Row measure(int k, bool register_snapshots, int rounds, int threads) {
   int histories = 0;
   const subc_bench::Stopwatch sw;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(k, register_snapshots);
         History history;
@@ -137,7 +137,7 @@ int main() {
   crash_opts.max_crashes = 1;
   const subc_bench::Stopwatch crash_sw;
   const auto crash_result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(3);
         History history;
@@ -165,10 +165,10 @@ int main() {
   subc_bench::Json crash_cell;
   crash_cell.set("scenario", "doorway(k=3)");
   subc_bench::set_rate_fields(crash_cell, crash_result.executions, crash_ms);
-  subc_bench::set_crash_fields(crash_cell, crash_opts.max_crashes,
-                               crash_result.crashed_executions,
-                               crash_result.stuck_executions);
-  crash_cell.set("complete", crash_result.complete)
+  crash_cell.set("max_crashes", crash_opts.max_crashes)
+      .set("crashed_executions", crash_result.crashed_executions)
+      .set("stuck_executions", crash_result.stuck_executions)
+      .set("complete", crash_result.complete)
       .set("ok", crash_result.ok());
 
   subc_bench::Json out;
@@ -178,15 +178,14 @@ int main() {
       .set("crash_exploration", crash_cell)
       .set("pass", ok);
   // The randomized sweeps above never drive the exhaustive explorer; the
-  // crash cell's reduced tallies are what this artifact carries.
-  subc_bench::set_reduction_fields(out, crash_result.reduced_subtrees,
-                                   crash_result.executions);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, crash_opts.max_crashes,
-                               crash_result.crashed_executions,
-                               crash_result.stuck_executions);
-  subc_bench::set_recovery_fields(out, crash_opts.max_recoveries,
-                                  crash_result.recovered_executions);
+  // crash cell's search is the artifact's search tally.
+  out.set("search",
+          subc_bench::search_tally_cell(
+              {.executions = crash_result.executions,
+               .reduced = crash_result.reduced_subtrees,
+               .crashed = crash_result.crashed_executions,
+               .recovered = crash_result.recovered_executions,
+               .stuck = crash_result.stuck_executions}));
   subc_bench::write_json("BENCH_F2.json", out);
   std::printf("\nF2 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

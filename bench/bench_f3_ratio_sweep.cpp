@@ -27,7 +27,7 @@ int simulate_worst_distinct(int n, int k, int rounds, int threads) {
   std::mutex mu;
   int worst = 0;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         WrnRatioSetConsensus algorithm(n, k);
         for (int p = 0; p < n; ++p) {
@@ -95,12 +95,6 @@ int main() {
       .set("threads", threads)
       .set("validated_cells", cells)
       .set("pass", ok);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_F3.json", out);
   std::printf("\nF3 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

@@ -185,7 +185,7 @@ void BM_Algorithm2FullRun(benchmark::State& state) {
 BENCHMARK(BM_Algorithm2FullRun)->Arg(3)->Arg(8)->Arg(16);
 
 ExecutionBody explorer_rate_body() {
-  return [](ScheduleDriver& driver) {
+  return [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(0);
     for (int p = 0; p < 3; ++p) {
@@ -224,7 +224,7 @@ void BM_RandomSweepRate(benchmark::State& state) {
           : static_cast<int>(state.range(0));
   for (auto _ : state) {
     const auto result = RandomSweep::run(
-        [](ScheduleDriver& driver) {
+        [](SchedulePolicy& driver) {
           Runtime rt;
           WrnSetConsensus algorithm(4);
           for (int p = 0; p < 4; ++p) {
@@ -314,7 +314,7 @@ subc_bench::Json measure_per_step_ns() {
 // separately against scripts/perf_baseline/BENCH_F4.json.
 void write_results_json() {
   const int threads = subc_bench::bench_threads();
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(0);
     for (int p = 0; p < 3; ++p) {
@@ -326,7 +326,7 @@ void write_results_json() {
     }
     rt.run(driver);
   };
-  const ExecutionBody stepped_body = [](ScheduleDriver& driver) {
+  const ExecutionBody stepped_body = [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(0);
     for (int p = 0; p < 3; ++p) {
@@ -350,8 +350,8 @@ void write_results_json() {
   const subc_bench::Stopwatch stepped_parallel_sw;
   const auto stepped_parallel = Explorer::explore(stepped_body, opts);
   const double stepped_parallel_ms = stepped_parallel_sw.ms();
-  // One reduced pass over the same tree for the reduction telemetry all
-  // BENCH_<ID>.json files carry.
+  // One reduced pass over the same tree: the artifact's search tally (the
+  // timed passes above are unreduced throughput runs).
   Explorer::Options red = opts;
   red.threads = 1;
   red.reduction = Reduction::kSleepSets;
@@ -397,11 +397,12 @@ void write_results_json() {
       .set("stepped_speedup_vs_fiber",
            serial_rate > 0 ? stepped_serial_rate / serial_rate : 0.0)
       .set("per_step_ns", measure_per_step_ns());
-  subc_bench::set_reduction_fields(out, reduced.reduced_subtrees,
-                                   reduced.executions);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
+  out.set("search", subc_bench::search_tally_cell(
+                        {.executions = reduced.executions,
+                         .reduced = reduced.reduced_subtrees,
+                         .crashed = reduced.crashed_executions,
+                         .recovered = reduced.recovered_executions,
+                         .stuck = reduced.stuck_executions}));
   subc_bench::write_json("BENCH_F4.json", out);
 }
 

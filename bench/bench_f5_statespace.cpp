@@ -53,7 +53,7 @@ const char* world_name(World w) {
 
 ExecutionBody grid_body(World world, int procs, int steps) {
   if (world == World::kReads) {
-    return [procs, steps](ScheduleDriver& driver) {
+    return [procs, steps](SchedulePolicy& driver) {
       Runtime rt;
       Register<> reg(0);
       for (int p = 0; p < procs; ++p) {
@@ -66,7 +66,7 @@ ExecutionBody grid_body(World world, int procs, int steps) {
       rt.run(driver);
     };
   }
-  return [procs, steps](ScheduleDriver& driver) {
+  return [procs, steps](SchedulePolicy& driver) {
     Runtime rt;
     Register<> shared(0);
     RegisterArray<> own(procs, 0);
@@ -91,7 +91,7 @@ ExecutionBody grid_body(World world, int procs, int steps) {
 // suspension mechanism (switch-resume vs stack switch) differs.
 ExecutionBody stepped_grid_body(World world, int procs, int steps) {
   if (world == World::kReads) {
-    return [procs, steps](ScheduleDriver& driver) {
+    return [procs, steps](SchedulePolicy& driver) {
       Runtime rt;
       Register<> reg(0);
       for (int p = 0; p < procs; ++p) {
@@ -100,7 +100,7 @@ ExecutionBody stepped_grid_body(World world, int procs, int steps) {
       rt.run(driver);
     };
   }
-  return [procs, steps](ScheduleDriver& driver) {
+  return [procs, steps](SchedulePolicy& driver) {
     Runtime rt;
     Register<> shared(0);
     RegisterArray<> own(procs, 0);
@@ -307,7 +307,10 @@ int main() {
   double parallel_total_ms = 0;
   long long total_executions_unreduced = 0;
   long long total_executions_reduced = 0;
-  long long total_reduced_subtrees = 0;
+  // The artifact's search tally: the serial search behind each checked
+  // claim — the reduced series-1 cells, the crash cell and the stateful
+  // headline cell (throughput re-runs and parallel twins are not counted).
+  subc::ExplorerTally search;
   int cells_at_2x = 0;
   for (const auto& [world, procs, steps] : cells) {
     const CellResult cell = run_cell(world, procs, steps, threads);
@@ -329,7 +332,8 @@ int main() {
     parallel_total_ms += cell.parallel_ms;
     total_executions_unreduced += cell.executions_unreduced;
     total_executions_reduced += cell.executions_reduced;
-    total_reduced_subtrees += cell.reduced_subtrees;
+    search += {.executions = cell.executions_reduced,
+               .reduced = cell.reduced_subtrees};
     std::printf("%6s %6d %6d %12lld %12lld %7.1fx %9.1f %9.1f %9.1f %6s\n",
                 world_name(world), procs, steps, cell.executions_unreduced,
                 cell.executions_reduced, factor, cell.unreduced_ms,
@@ -512,10 +516,15 @@ int main() {
   subc_bench::Json crash_cell;
   crash_cell.set("world", "mixed").set("procs", 3).set("steps", 2);
   subc_bench::set_rate_fields(crash_cell, crash_serial.executions, crash_ms);
-  subc_bench::set_crash_fields(crash_cell, crash_opts.max_crashes,
-                               crash_serial.crashed_executions,
-                               crash_serial.stuck_executions);
-  crash_cell.set("counts_match", crash_match);
+  crash_cell.set("max_crashes", crash_opts.max_crashes)
+      .set("crashed_executions", crash_serial.crashed_executions)
+      .set("stuck_executions", crash_serial.stuck_executions)
+      .set("counts_match", crash_match);
+  search += {.executions = crash_serial.executions,
+             .reduced = crash_serial.reduced_subtrees,
+             .crashed = crash_serial.crashed_executions,
+             .recovered = crash_serial.recovered_executions,
+             .stuck = crash_serial.stuck_executions};
 
   // Series 3 — stateful exploration (Explorer::Options::stateful): every
   // cell explored at {none, sleep, sleep+stateful} × threads {1, 4}. On
@@ -534,7 +543,6 @@ int main() {
                                  {World::kReads, 3, 3}};
   std::vector<subc_bench::Json> series3;
   double best_stateful_factor = 0.0;
-  long long total_stateful_cuts = 0;
   StatefulCell headline_stateful_cell;  // mixed 3x4: the headline grid point
   for (const auto& [world, procs, steps] : stateful_cells) {
     const StatefulCell cell =
@@ -551,7 +559,6 @@ int main() {
     if (world == World::kMixed && procs == 3 && steps == 4) {
       headline_stateful_cell = cell;
     }
-    total_stateful_cuts += cell.stateful_cuts;
     std::printf("%6s %6d %6d %12lld %12lld %12lld %8lld %7.1fx\n",
                 world_name(world), procs, steps, cell.execs_none,
                 cell.execs_sleep, cell.execs_stateful, cell.stateful_cuts,
@@ -619,10 +626,8 @@ int main() {
   subc_bench::Json stateful_headline;
   stateful_headline.set("world", "mixed").set("procs", 3).set("steps", 4);
   subc_bench::set_rate_fields(stateful_headline, st_fiber.executions, st_ms);
-  subc_bench::set_stateful_fields(stateful_headline, st_fiber.stateful_cuts,
-                                  st_fiber.stateful_states,
-                                  kStatefulCapacity);
-  stateful_headline
+  stateful_headline.set("stateful_cuts", st_fiber.stateful_cuts)
+      .set("stateful_states", st_fiber.stateful_states)
       .set("executions_sleep_only", headline_stateful_cell.execs_sleep)
       .set("stateful_vs_sleep_factor",
            st_fiber.executions > 0
@@ -631,6 +636,12 @@ int main() {
                : 0.0)
       .set("best_mixed_factor", best_stateful_factor)
       .set("stepped_executions_match", st_engines_match);
+  search += {.executions = st_fiber.executions,
+             .reduced = st_fiber.reduced_subtrees,
+             .crashed = st_fiber.crashed_executions,
+             .recovered = st_fiber.recovered_executions,
+             .stuck = st_fiber.stuck_executions,
+             .stateful_cuts = st_fiber.stateful_cuts};
 
   subc_bench::Json out;
   out.set("bench", "F5")
@@ -654,18 +665,9 @@ int main() {
       .set("series1", series1)
       .set("series2", series2)
       .set("series3_stateful", series3)
-      .set("pass", ok);
-  subc_bench::set_reduction_fields(out, total_reduced_subtrees,
-                                   total_executions_reduced);
-  subc_bench::set_stateful_fields(out, total_stateful_cuts,
-                                  st_fiber.stateful_states,
-                                  kStatefulCapacity);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, crash_opts.max_crashes,
-                               crash_serial.crashed_executions,
-                               crash_serial.stuck_executions);
-  subc_bench::set_recovery_fields(out, crash_opts.max_recoveries,
-                                  crash_serial.recovered_executions);
+      .set("pass", ok)
+      .set("search",
+           subc_bench::search_tally_cell(search, st_fiber.stateful_states));
   subc_bench::write_json("BENCH_F5.json", out);
 
   std::printf("\nF5 %s\n", ok ? "PASS" : "FAIL");

@@ -43,7 +43,7 @@ void series_immediate_snapshot(int threads) {
     long worst = 0;
     long samples = 0;
     const auto result = RandomSweep::run(
-        [&](ScheduleDriver& driver) {
+        [&](SchedulePolicy& driver) {
           Runtime rt;
           ImmediateSnapshot is(n);
           for (int p = 0; p < n; ++p) {
@@ -77,7 +77,7 @@ void series_safe_agreement(int threads) {
     long worst = 0;
     long samples = 0;
     const auto result = RandomSweep::run(
-        [&](ScheduleDriver& driver) {
+        [&](SchedulePolicy& driver) {
           Runtime rt;
           SafeAgreement sa(n);
           for (int p = 0; p < n; ++p) {
@@ -114,7 +114,7 @@ void series_adopt_commit(int threads) {
       long commits = 0;
       long outcomes = 0;
       RandomSweep::run(
-          [&](ScheduleDriver& driver) {
+          [&](SchedulePolicy& driver) {
             Runtime rt;
             AdoptCommit ac(n);
             for (int p = 0; p < n; ++p) {
@@ -154,7 +154,7 @@ void series_snapshot(int threads) {
     long worst = 0;
     long samples = 0;
     RandomSweep::run(
-        [&](ScheduleDriver& driver) {
+        [&](SchedulePolicy& driver) {
           Runtime rt;
           SnapshotFromRegisters<> snap(w + 1, 0);
           for (int i = 0; i < w; ++i) {
@@ -196,12 +196,6 @@ int main() {
   subc_bench::Json out;
   out.set("bench", "F6").set("threads", threads).set("rows", g_rows).set(
       "pass", true);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_F6.json", out);
   std::printf("\nF6 PASS\n");
   return 0;

@@ -109,12 +109,6 @@ int main() {
   }
   subc_bench::Json out;
   out.set("bench", "F7").set("classes", rows).set("pass", ok);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_F7.json", out);
 
   std::printf("\nF7 %s\n", ok ? "PASS" : "FAIL");

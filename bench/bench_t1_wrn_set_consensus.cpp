@@ -25,7 +25,7 @@ struct Row {
   int k = 0;
   const char* mode = "";
   std::int64_t executions = 0;
-  std::int64_t reduced_subtrees = 0;
+  subc::ExplorerTally search;  // exhaustive rows only
   int worst_distinct = 0;
   std::int64_t violations = 0;
   double ms = 0;
@@ -42,7 +42,7 @@ Row run_for_k(int k, int threads) {
   // per-execution local.
   std::mutex mu;
   int worst = 0;
-  const ExecutionBody body = [&](ScheduleDriver& driver) {
+  const ExecutionBody body = [&](SchedulePolicy& driver) {
     Runtime rt;
     WrnSetConsensus algorithm(k);
     for (int p = 0; p < k; ++p) {
@@ -65,7 +65,11 @@ Row run_for_k(int k, int threads) {
     const auto result = Explorer::explore(body, opts);
     row.mode = "exhaustive";
     row.executions = result.executions;
-    row.reduced_subtrees = result.reduced_subtrees;
+    row.search = {.executions = result.executions,
+                  .reduced = result.reduced_subtrees,
+                  .crashed = result.crashed_executions,
+                  .recovered = result.recovered_executions,
+                  .stuck = result.stuck_executions};
     row.violations = result.ok() ? 0 : 1;
   } else {
     const auto result = RandomSweep::run(body, 20'000, 1, threads);
@@ -98,12 +102,10 @@ int main() {
               "violations");
   bool all_ok = true;
   std::vector<subc_bench::Json> rows;
-  std::int64_t total_executions = 0;
-  std::int64_t total_reduced = 0;
+  subc::ExplorerTally search;
   for (const int k : {3, 4, 5, 6, 7, 8, 10, 12}) {
     const Row row = run_for_k(k, threads);
-    total_executions += row.executions;
-    total_reduced += row.reduced_subtrees;
+    search += row.search;
     const double per_sec =
         row.ms > 0 ? 1000.0 * static_cast<double>(row.executions) / row.ms : 0;
     std::printf("%4d  %-11s %12lld  %16d  %10d  %10.0f  %lld\n", row.k,
@@ -115,7 +117,7 @@ int main() {
     json_row.set("k", row.k)
         .set("mode", row.mode)
         .set("executions", row.executions)
-        .set("reduced_subtrees", row.reduced_subtrees)
+        .set("reduced_subtrees", row.search.reduced)
         .set("worst_distinct", row.worst_distinct)
         .set("violations", row.violations)
         .set("ms", row.ms)
@@ -123,12 +125,11 @@ int main() {
     rows.push_back(json_row);
   }
   subc_bench::Json out;
-  out.set("bench", "T1").set("threads", threads).set("rows", rows).set(
-      "pass", all_ok);
-  subc_bench::set_reduction_fields(out, total_reduced, total_executions);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
+  out.set("bench", "T1")
+      .set("threads", threads)
+      .set("rows", rows)
+      .set("pass", all_ok)
+      .set("search", subc_bench::search_tally_cell(search));
   subc_bench::write_json("BENCH_T1.json", out);
   std::printf("\nT1 %s\n", all_ok ? "PASS" : "FAIL");
   return all_ok ? 0 : 1;

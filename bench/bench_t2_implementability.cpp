@@ -66,12 +66,6 @@ int main() {
       .set("combinations_checked", static_cast<std::int64_t>(checked))
       .set("mismatches", static_cast<std::int64_t>(mismatches))
       .set("pass", ok);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_T2.json", out);
   std::printf("\nT2 %s\n", ok ? "PASS" : "FAIL");
   return ok ? 0 : 1;

@@ -34,7 +34,7 @@ int simulate_worst_distinct(int n, int components, int procs, int rounds,
   std::mutex mu;
   int worst = 0;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         OnkSetConsensus algorithm(n, components, procs);
         for (int p = 0; p < procs; ++p) {
@@ -137,12 +137,6 @@ int main() {
       .set("separations", rows)
       .set("synthesis", synth_rows)
       .set("pass", ok);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_T4.json", out);
 
   std::printf(

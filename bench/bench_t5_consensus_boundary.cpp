@@ -23,7 +23,7 @@ namespace {
 using namespace subc;
 
 ConsensusWorldBody wrn_attempt(int k) {
-  return [k](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+  return [k](SchedulePolicy& driver, const std::vector<Value>& inputs) {
     Runtime rt;
     WrnObject wrn(k);
     for (int p = 0; p < 2; ++p) {
@@ -50,8 +50,7 @@ int main() {
   bool ok = true;
   std::vector<subc_bench::Json> boundary_rows;
   const subc_bench::Stopwatch total_sw;
-  std::int64_t total_executions = 0;
-  std::int64_t total_reduced = 0;
+  subc::ExplorerTally search;
 
   for (int k = 2; k <= 8; ++k) {
     subc_bench::Json row;
@@ -61,8 +60,8 @@ int main() {
           wrn_attempt(2), {{0, 1}, {1, 0}, {7, 7}}, 500'000, threads);
       const bool pass = check.ok() && check.exhaustive;
       ok = ok && pass;
-      total_executions += check.executions;
-      total_reduced += check.reduced_subtrees;
+      search += {.executions = check.executions,
+                 .reduced = check.reduced_subtrees};
       std::printf("%4d  %-12s  solves 2-consensus; %lld executions, "
                   "exhaustive\n", k, pass ? "SWAP (=2)" : "FAIL",
                   static_cast<long long>(check.executions));
@@ -105,7 +104,7 @@ int main() {
     ConsensusWorldBody body;
   };
   const Control controls[] = {
-      {"swap", [](ScheduleDriver& d, const std::vector<Value>& in) {
+      {"swap", [](SchedulePolicy& d, const std::vector<Value>& in) {
          Runtime rt;
          TwoConsensusShared sh;
          SwapRegister sw(kBottom);
@@ -120,7 +119,7 @@ int main() {
          check_validity(in, run.decisions);
          check_agreement(run.decisions);
        }},
-      {"test&set", [](ScheduleDriver& d, const std::vector<Value>& in) {
+      {"test&set", [](SchedulePolicy& d, const std::vector<Value>& in) {
          Runtime rt;
          TwoConsensusShared sh;
          TestAndSet tas;
@@ -135,7 +134,7 @@ int main() {
          check_validity(in, run.decisions);
          check_agreement(run.decisions);
        }},
-      {"queue", [](ScheduleDriver& d, const std::vector<Value>& in) {
+      {"queue", [](SchedulePolicy& d, const std::vector<Value>& in) {
          Runtime rt;
          TwoConsensusShared sh;
          FifoQueue q{0};
@@ -155,8 +154,8 @@ int main() {
     const auto check = check_consensus_algorithm(
         control.body, {{0, 1}, {1, 0}}, 500'000, threads);
     ok = ok && check.ok();
-    total_executions += check.executions;
-    total_reduced += check.reduced_subtrees;
+    search += {.executions = check.executions,
+               .reduced = check.reduced_subtrees};
     std::printf("  %-9s %s (%lld executions)\n", control.name,
                 check.ok() ? "ok" : "FAIL",
                 static_cast<long long>(check.executions));
@@ -167,18 +166,15 @@ int main() {
   out.set("bench", "T5")
       .set("threads", threads)
       .set("total_ms", total_ms)
-      .set("checked_executions", total_executions)
+      .set("checked_executions", search.executions)
       .set("executions_per_sec",
-           total_ms > 0 ? 1000.0 * static_cast<double>(total_executions) /
+           total_ms > 0 ? 1000.0 * static_cast<double>(search.executions) /
                               total_ms
                         : 0.0)
       .set("boundary", boundary_rows)
       .set("synthesis", synthesis_rows)
-      .set("pass", ok);
-  subc_bench::set_reduction_fields(out, total_reduced, total_executions);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
+      .set("pass", ok)
+      .set("search", subc_bench::search_tally_cell(search));
   subc_bench::write_json("BENCH_T5.json", out);
 
   std::printf("\nT5 %s\n", ok ? "PASS" : "FAIL");

@@ -56,7 +56,7 @@ Row measure_counter(int n, int ops_per_proc, int rounds, int threads) {
   long total_ops = 0;
   long worst = 0;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         UniversalObject<CounterSpec> counter(
             CounterSpec{}, n, n * ops_per_proc + 4 * n);
@@ -122,7 +122,7 @@ int main() {
     std::mutex mu;
     long universal_steps = 0;
     const auto result = RandomSweep::run(
-        [&](ScheduleDriver& driver) {
+        [&](SchedulePolicy& driver) {
           Runtime rt;
           UniversalObject<OneShotWrnSpec> wrn(OneShotWrnSpec{3}, 3, 16);
           History history;
@@ -158,12 +158,6 @@ int main() {
       .set("rows", rows)
       .set("wrn3_universal_steps_per_op", universal_steps_per_op)
       .set("pass", ok);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_T7.json", out);
 
   std::printf("\nT7 %s\n", ok ? "PASS" : "FAIL");

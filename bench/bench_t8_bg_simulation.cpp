@@ -33,7 +33,7 @@ bool grid_row(int m, int n, int k, int rounds, int threads) {
   long total_steps = 0;
   long samples = 0;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         BgSimulation bg(m, n, k);
         for (int s = 0; s < m; ++s) {
@@ -139,12 +139,6 @@ int main() {
       .set("grid", g_grid_rows)
       .set("resilience", g_crash_rows)
       .set("pass", ok);
-  // This bench never drives the exhaustive explorer; stamp the neutral
-  // reduction telemetry every BENCH_<ID>.json carries.
-  subc_bench::set_reduction_fields(out, 0, 0);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 0, 0, 0);
-  subc_bench::set_recovery_fields(out, 0, 0);
   subc_bench::write_json("BENCH_T8.json", out);
 
   std::printf(

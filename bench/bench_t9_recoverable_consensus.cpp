@@ -32,6 +32,7 @@
 #include "subc/algorithms/stepped_bodies.hpp"
 #include "subc/objects/sticky_register.hpp"
 #include "subc/objects/swap.hpp"
+#include "subc/runtime/explorer.hpp"
 #include "subc/runtime/runtime.hpp"
 
 namespace {
@@ -64,7 +65,7 @@ void require_recoverable_consensus(const Runtime::RunResult& run) {
 }
 
 ExecutionBody sticky_world(Durability durability, Engine engine) {
-  return [durability, engine](ScheduleDriver& driver) {
+  return [durability, engine](SchedulePolicy& driver) {
     Runtime rt;
     StickyRegister sticky(durability);
     for (int p = 0; p < 2; ++p) {
@@ -81,7 +82,7 @@ ExecutionBody sticky_world(Durability durability, Engine engine) {
 }
 
 ExecutionBody swap_world(Durability durability, Engine engine) {
-  return [durability, engine](ScheduleDriver& driver) {
+  return [durability, engine](SchedulePolicy& driver) {
     Runtime rt;
     TwoConsensusShared shared;
     SwapRegister swap(kBottom, durability);
@@ -144,11 +145,7 @@ int main() {
   bool ok = true;
   std::vector<subc_bench::Json> rows;
   const subc_bench::Stopwatch total_sw;
-  std::int64_t total_executions = 0;
-  std::int64_t total_reduced = 0;
-  std::int64_t total_crashed = 0;
-  std::int64_t total_recovered = 0;
-  std::int64_t total_stuck = 0;
+  subc::ExplorerTally search;
 
   for (const GridRow& grid_row : kGrid) {
     for (const Durability durability :
@@ -173,11 +170,11 @@ int main() {
                 opts.shrink_violations = true;
                 const auto result = Explorer::explore(
                     grid_row.factory(durability, engine), opts);
-                total_executions += result.executions;
-                total_reduced += result.reduced_subtrees;
-                total_crashed += result.crashed_executions;
-                total_recovered += result.recovered_executions;
-                total_stuck += result.stuck_executions;
+                search += {.executions = result.executions,
+                           .reduced = result.reduced_subtrees,
+                           .crashed = result.crashed_executions,
+                           .recovered = result.recovered_executions,
+                           .stuck = result.stuck_executions};
                 CellOutcome cell;
                 cell.ok = result.ok();
                 cell.complete = result.complete;
@@ -265,12 +262,9 @@ int main() {
       .set("threads", grid_threads[1])
       .set("total_ms", total_ms)
       .set("grid", rows)
-      .set("pass", ok);
-  subc_bench::set_rate_fields(out, total_executions, total_ms);
-  subc_bench::set_reduction_fields(out, total_reduced, total_executions);
-  subc_bench::set_policy_fields(out);
-  subc_bench::set_crash_fields(out, 1, total_crashed, total_stuck);
-  subc_bench::set_recovery_fields(out, 1, total_recovered);
+      .set("pass", ok)
+      .set("search", subc_bench::search_tally_cell(search));
+  subc_bench::set_rate_fields(out, search.executions, total_ms);
   subc_bench::write_json("BENCH_T9.json", out);
 
   std::printf("\nT9 %s\n", ok ? "PASS" : "FAIL");

@@ -96,7 +96,7 @@ void sweep() {
   std::printf("\n=== random sweep: 500 schedules, k = 3..5 ===\n");
   for (int k = 3; k <= 5; ++k) {
     const auto result = RandomSweep::run(
-        [k](ScheduleDriver& driver) {
+        [k](SchedulePolicy& driver) {
           Runtime rt;
           WrnFromSse object(k);
           History history;

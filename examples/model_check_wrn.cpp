@@ -22,7 +22,7 @@ namespace {
 using namespace subc;
 
 ConsensusWorldBody attempt(int k) {
-  return [k](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+  return [k](SchedulePolicy& driver, const std::vector<Value>& inputs) {
     Runtime rt;
     WrnObject wrn(k);
     for (int p = 0; p < 2; ++p) {

@@ -60,7 +60,7 @@ void consensus_boundary(int n) {
                 to_string(result.decisions[0]).c_str());
   }
   const auto violation = find_consensus_violation(
-      [n](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+      [n](SchedulePolicy& driver, const std::vector<Value>& inputs) {
         Runtime rt;
         GacObject gac(n, 1);
         for (int p = 0; p < n + 1; ++p) {
@@ -95,7 +95,7 @@ void separation(int n, int k) {
   for (const int components : {k + 1, k}) {
     int worst = 0;
     RandomSweep::run(
-        [&](ScheduleDriver& driver) {
+        [&](SchedulePolicy& driver) {
           Runtime rt;
           OnkSetConsensus algorithm(n, components, sep.system_size);
           for (int p = 0; p < sep.system_size; ++p) {

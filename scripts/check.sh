@@ -21,31 +21,6 @@
 #                                 scripts/perf_baseline/BENCH_F5.json) and
 #                                 bench_f8 service rates (>= 70% of
 #                                 scripts/perf_baseline/BENCH_F8.json)
-#   scripts/check.sh --stepper-smoke engine-equivalence gate only: the
-#                                 equivalence pin and stepped-engine suites
-#                                 under Debug + AddressSanitizer — proves
-#                                 fiber and stepped kernels explore
-#                                 bit-identically before anything ships
-#   scripts/check.sh --crash-smoke crash-exploration gate only: exhaustive
-#                                 f=1 over Algorithm 5's doorway scenario
-#                                 must verify linearizable, and the
-#                                 doorway-ablated variant must report a
-#                                 violation — both deterministic
-#   scripts/check.sh --recovery-smoke crash-recovery gate only: the
-#                                 recovery-exploration suite (restartable
-#                                 processes, durable vs volatile objects,
-#                                 the recoverable-consensus machine-check)
-#                                 plus the recovery-axis equivalence pins,
-#                                 under Debug + AddressSanitizer — restart
-#                                 re-carves fiber stacks and stepped state
-#                                 blocks, exactly what ASan must watch
-#   scripts/check.sh --stateful-smoke stateful-exploration gate only: the
-#                                 hashing/visited-set suite, the stateful
-#                                 explorer suite, and the stateful half of
-#                                 the equivalence pins, all under Debug +
-#                                 AddressSanitizer — proves stateful cuts
-#                                 stay sound and both engines fingerprint
-#                                 identically before anything ships
 #   scripts/check.sh --soak-smoke multi-instance service gate only: ~5 s of
 #                                 bench_f8_soak's agreement-as-a-service
 #                                 stage under AddressSanitizer with the
@@ -64,24 +39,16 @@ cd "$(dirname "$0")/.."
 
 QUICK=0
 PERF_SMOKE=0
-STEPPER_SMOKE=0
-CRASH_SMOKE=0
-RECOVERY_SMOKE=0
-STATEFUL_SMOKE=0
 SOAK_SMOKE=0
 SERVICE_SMOKE=0
 for arg in "$@"; do
   case "${arg}" in
     --quick) QUICK=1 ;;
     --perf-smoke) PERF_SMOKE=1 ;;
-    --stepper-smoke) STEPPER_SMOKE=1 ;;
-    --crash-smoke) CRASH_SMOKE=1 ;;
-    --recovery-smoke) RECOVERY_SMOKE=1 ;;
-    --stateful-smoke) STATEFUL_SMOKE=1 ;;
     --soak-smoke) SOAK_SMOKE=1 ;;
     --service-smoke) SERVICE_SMOKE=1 ;;
     *)
-      echo "usage: scripts/check.sh [--quick|--perf-smoke|--stepper-smoke|--crash-smoke|--recovery-smoke|--stateful-smoke|--soak-smoke|--service-smoke]" >&2
+      echo "usage: scripts/check.sh [--quick|--perf-smoke|--soak-smoke|--service-smoke]" >&2
       exit 2
       ;;
   esac
@@ -228,84 +195,6 @@ if [[ "${PERF_SMOKE}" == "1" ]]; then
   done
   [[ "${FAIL}" == "0" ]] || exit 1
   echo "PERF SMOKE PASSED"
-  exit 0
-fi
-
-# --- Stepper smoke: the engine-equivalence gate --------------------------
-# The stepped engine is only admissible because it is *provably* the same
-# search: the pin suite replays both engines across the {reduction,
-# threads, crash} grid and requires bit-identical Results, and the stepper
-# suite covers mixed-engine worlds, the fiber-fallback rule, replay/shrink
-# and state-block teardown. Run under ASan so the duff's-device state
-# blocks and the arena carving get lifetime-checked at the same time.
-if [[ "${STEPPER_SMOKE}" == "1" ]]; then
-  cmake -B build-asan -G Ninja \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
-  cmake --build build-asan --target equivalence_pin_test stepper_test
-  build-asan/tests/equivalence_pin_test
-  build-asan/tests/stepper_test
-  echo "STEPPER SMOKE PASSED"
-  exit 0
-fi
-
-# --- Crash smoke: the exhaustive crash-exploration gate ------------------
-# Two deterministic facts stand in for the whole robustness story: with
-# f = 1 every single-crash placement over Algorithm 5's doorway scenario
-# yields a linearizable history, and ablating the doorway makes the same
-# exhaustive search convict the algorithm with a concrete counterexample.
-# Both run under the step-quota watchdog, so a livelocked regression fails
-# structurally instead of hanging the stage.
-if [[ "${CRASH_SMOKE}" == "1" ]]; then
-  cmake -B build -G Ninja
-  cmake --build build --target crash_exploration_test
-  build/tests/crash_exploration_test --gtest_filter='CrashExploration.Algorithm5LinearizableOverAllSingleCrashPlacements:CrashExploration.DoorwayAblationConvictedDeterministically'
-  echo "CRASH SMOKE PASSED"
-  exit 0
-fi
-
-# --- Recovery smoke: the crash-recovery gate ------------------------------
-# Restart re-enters a crashed process from the top — destroying and
-# re-carving its fiber stack or restoring its stepped state block from the
-# pristine snapshot — while durable object state persists and volatile
-# state is wiped by crash-event hooks. All of that is lifetime-sensitive,
-# so the gate runs the recovery suite (restartable processes, the
-# durability axis, replay/shrink/jsonl of recovery decisions, the
-# recoverable-consensus machine-check) and the checkpoint suite's recovery
-# campaign under ASan, plus the full equivalence pins whose f=1 r=1 axis
-# requires both engines to restart bit-identically.
-if [[ "${RECOVERY_SMOKE}" == "1" ]]; then
-  cmake -B build-asan -G Ninja \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
-  cmake --build build-asan --target recovery_exploration_test \
-    checkpoint_resume_test equivalence_pin_test
-  build-asan/tests/recovery_exploration_test
-  build-asan/tests/checkpoint_resume_test \
-    --gtest_filter='CheckpointResume.RecoveryExplorationCampaignResumes:CheckpointResume.DecisionStringsRoundTripIncludingCrashFlags'
-  build-asan/tests/equivalence_pin_test --gtest_filter='-*Stateful*'
-  echo "RECOVERY SMOKE PASSED"
-  exit 0
-fi
-
-# --- Stateful smoke: the stateful-exploration soundness gate -------------
-# Stateful cuts are only admissible because they are provably the same
-# verdict: the hashing suite pins the fingerprint primitives and attacks
-# the visited set's open addressing, the stateful suite covers soundness
-# (violations found, replayed, shrunk; unported worlds degrade to zero
-# cuts) and the knob/checkpoint rules, and the stateful equivalence pins
-# require both engines to fingerprint bit-identically. Run under ASan so
-# the concurrent visited set gets lifetime-checked at the same time.
-if [[ "${STATEFUL_SMOKE}" == "1" ]]; then
-  cmake -B build-asan -G Ninja \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address -fno-omit-frame-pointer -g -O1" \
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address"
-  cmake --build build-asan --target hashing_test stateful_exploration_test \
-    equivalence_pin_test
-  build-asan/tests/hashing_test
-  build-asan/tests/stateful_exploration_test
-  build-asan/tests/equivalence_pin_test --gtest_filter='*Stateful*'
-  echo "STATEFUL SMOKE PASSED"
   exit 0
 fi
 

@@ -85,7 +85,7 @@ if [[ "${CHECK}" == "1" ]]; then
     fi
   done
   # The F8 artifact must carry the agreement-as-a-service soak cells
-  # (set_soak_fields in bench/bench_util.hpp). The generic key-set diff
+  # (stamped in bench/bench_f8_soak.cpp). The generic key-set diff
   # would accept a bench that silently stopped stamping them on *both*
   # sides, so the required keys are pinned by name.
   # (grep without -q: early exit would SIGPIPE the key_set python under
@@ -99,14 +99,17 @@ if [[ "${CHECK}" == "1" ]]; then
       FAIL=1
     fi
   done
-  # Every artifact must carry the crash-recovery cells (set_recovery_fields
-  # in bench/bench_util.hpp) — same rationale as the soak pin above: the
-  # key-set diff can't catch a field dropped from both sides at once.
-  for committed in bench-results/BENCH_*.json; do
-    for key in max_recoveries recovered_executions; do
-      if ! key_set "${committed}" 2>/dev/null \
-          | grep -x "${key}" >/dev/null; then
-        echo "refresh-bench: STALE — ${committed} missing recovery cell ${key}" >&2
+  # The benches that run crash or recovery searches must carry the search
+  # tally (search_tally_cell in bench/bench_util.hpp) — same rationale as
+  # the soak pin above: the key-set diff can't catch a field dropped from
+  # both sides at once.
+  for id in F2 F5 T9; do
+    for key in executions reduced_subtrees reduction_factor \
+               crashed_executions recovered_executions stuck_executions \
+               stateful_cuts stateful_states; do
+      if ! key_set "bench-results/BENCH_${id}.json" 2>/dev/null \
+          | grep -x "search.${key}" >/dev/null; then
+        echo "refresh-bench: STALE — bench-results/BENCH_${id}.json missing search cell ${key}" >&2
         FAIL=1
       fi
     done

@@ -181,7 +181,7 @@ ConsensusCheck check_consensus_algorithm(
     opts.max_executions = max_executions_per_input;
     opts.threads = threads;
     const Explorer::Result r = Explorer::explore(
-        [&](ScheduleDriver& driver) { body(driver, inputs); }, opts);
+        [&](SchedulePolicy& driver) { body(driver, inputs); }, opts);
     check.executions += r.executions;
     check.reduced_subtrees += r.reduced_subtrees;
     if (!r.complete) {
@@ -210,7 +210,7 @@ ProtocolSearchResult search_wrn_two_consensus_protocols(int k) {
       for (protocol.rule[0] = 0; protocol.rule[0] < 5; ++protocol.rule[0]) {
         for (protocol.rule[1] = 0; protocol.rule[1] < 5; ++protocol.rule[1]) {
           ++result.protocols_checked;
-          const auto body = [k, protocol](ScheduleDriver& driver,
+          const auto body = [k, protocol](SchedulePolicy& driver,
                                           const std::vector<Value>& inputs) {
             Runtime rt;
             WrnObject wrn(k);
@@ -290,7 +290,7 @@ ProtocolSearchResult search_gac_consensus_protocols(int n, int i, int procs) {
       protocol.rule[p] = static_cast<int>(rest % kRules);
       rest /= kRules;
     }
-    const auto body = [&, protocol](ScheduleDriver& driver,
+    const auto body = [&, protocol](SchedulePolicy& driver,
                                     const std::vector<Value>& in) {
       Runtime rt;
       GacObject gac(n, i);
@@ -345,7 +345,7 @@ std::optional<std::string> find_consensus_violation(
   opts.max_executions = max_executions;
   opts.threads = threads;
   const Explorer::Result r = Explorer::explore(
-      [&](ScheduleDriver& driver) { body(driver, inputs); }, opts);
+      [&](SchedulePolicy& driver) { body(driver, inputs); }, opts);
   if (!r.ok()) {
     return *r.violation + " [trace " + format_trace(r.violating_trace) + "]";
   }

@@ -32,7 +32,6 @@
 #include <charconv>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <mutex>
 #include <ostream>
@@ -270,13 +269,18 @@ inline std::int64_t int_field(
 }
 
 /// Extracts the string following `"key":"` up to the closing quote,
-/// unescaping the writer's escapes.
+/// unescaping the writer's escapes. A `\u` escape must carry exactly four
+/// hex digits naming an ASCII code point (the writer only escapes control
+/// bytes); anything else throws `SimError` naming the field.
 inline std::string string_field(std::string_view line, std::string_view key) {
   const std::string pat = "\"" + std::string(key) + "\":\"";
   const std::size_t at = line.find(pat);
+  const auto error = [&](const char* what) {
+    return SimError("parse_trace_jsonl: " + std::string(what) + " \"" +
+                    std::string(key) + "\" in: " + std::string(line));
+  };
   if (at == std::string_view::npos) {
-    throw SimError("parse_trace_jsonl: missing field \"" + std::string(key) +
-                   "\" in: " + std::string(line));
+    throw error("missing field");
   }
   std::string out;
   for (std::size_t i = at + pat.size(); i < line.size(); ++i) {
@@ -301,47 +305,63 @@ inline std::string string_field(std::string_view line, std::string_view key) {
       case 'r':
         out += '\r';
         break;
-      case 'u':
-        if (i + 4 < line.size()) {
-          out += static_cast<char>(
-              std::strtol(std::string(line.substr(i + 1, 4)).c_str(), nullptr,
-                          16));
-          i += 4;
+      case 'u': {
+        if (line.size() - (i + 1) < 4) {
+          throw error("truncated \\u escape in field");
         }
+        const char* first = line.data() + i + 1;
+        unsigned code = 0;
+        if (std::from_chars(first, first + 4, code, 16).ptr != first + 4 ||
+            code > 0x7f) {
+          throw error("bad \\u escape in field");
+        }
+        out += static_cast<char>(code);
+        i += 4;
         break;
+      }
       default:
         out += line[i];  // \" and \\ (and anything else, verbatim)
     }
   }
-  throw SimError("parse_trace_jsonl: unterminated string in: " +
-                 std::string(line));
+  throw error("unterminated string field");
 }
 
-/// Extracts the `[v1,v2,...]` array following `"key":`.
+/// Extracts the `[v1,v2,...]` array following `"key":`. Each value must be
+/// an optional '-' and digits that fit int64, followed by ',' or the closing
+/// ']'; anything else (including an overflow, which must not silently clamp
+/// or become ⊥) throws `SimError` naming the field.
 inline std::vector<Value> values_field(std::string_view line,
                                        std::string_view key) {
   const std::string pat = "\"" + std::string(key) + "\":[";
   const std::size_t at = line.find(pat);
+  const auto error = [&](const char* what) {
+    return SimError("parse_trace_jsonl: " + std::string(what) + " \"" +
+                    std::string(key) + "\" in: " + std::string(line));
+  };
   if (at == std::string_view::npos) {
-    throw SimError("parse_trace_jsonl: missing field \"" + std::string(key) +
-                   "\" in: " + std::string(line));
+    throw error("missing field");
   }
   std::vector<Value> out;
   const char* p = line.data() + at + pat.size();
   const char* end = line.data() + line.size();
-  while (p < end && *p != ']') {
-    char* after = nullptr;
-    out.push_back(std::strtoll(p, &after, 10));
-    if (after == p) {
-      throw SimError("parse_trace_jsonl: bad value array in: " +
-                     std::string(line));
-    }
-    p = after;
-    if (p < end && *p == ',') {
-      ++p;
-    }
+  if (p < end && *p == ']') {
+    return out;
   }
-  return out;
+  while (true) {
+    Value v = 0;
+    const auto [after, ec] = std::from_chars(p, end, v);
+    if (ec == std::errc::result_out_of_range) {
+      throw error("out-of-range value in field");
+    }
+    if (ec != std::errc{} || after == end || (*after != ',' && *after != ']')) {
+      throw error("bad value array in field");
+    }
+    out.push_back(v);
+    if (*after == ']') {
+      return out;
+    }
+    p = after + 1;
+  }
 }
 
 }  // namespace jsonl_detail

@@ -159,7 +159,7 @@ ValenceReport check_gac_valence(int n, int i);
 /// propose `inputs[pid]` and decide. The harness validates agreement +
 /// validity + termination over every (or `rounds` random) executions.
 using ConsensusWorldBody =
-    std::function<void(ScheduleDriver&, const std::vector<Value>&)>;
+    std::function<void(SchedulePolicy&, const std::vector<Value>&)>;
 
 struct ConsensusCheck {
   std::int64_t executions = 0;

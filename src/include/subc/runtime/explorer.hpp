@@ -46,7 +46,7 @@ class TraceObserver;
 /// Runs one complete execution of a freshly built world under `driver`.
 /// Build everything inside (runtime, objects, processes), run it, then
 /// validate — throw `SpecViolation` (or any exception) to flag a violation.
-using ExecutionBody = std::function<void(ScheduleDriver& driver)>;
+using ExecutionBody = std::function<void(SchedulePolicy& driver)>;
 
 /// The one entry point every search funnels through: runs a single complete
 /// execution of `body` under `policy`, with `observer` installed as the

@@ -297,7 +297,7 @@ class Runtime {
   /// have been issued. Throws `SimError` if the step bound is exceeded with
   /// processes still runnable — for wait-free algorithms that indicates a
   /// bug (or a genuinely blocking construction).
-  RunResult run(ScheduleDriver& driver, std::int64_t max_steps = 1'000'000);
+  RunResult run(SchedulePolicy& driver, std::int64_t max_steps = 1'000'000);
 
   /// Crashes a process: it is never scheduled again (unless recovered). May
   /// be called before or during `run` (e.g. from a validator probing fault
@@ -395,6 +395,14 @@ class Runtime {
   std::size_t collect_enabled(int* enabled, Access* footprints) const;
   int attach_proc(Proc* proc);
 
+  // --- Per-process kernel semantics ---------------------------------------
+  // The one implementation behind `Context` and `StepContext`: the two
+  // context types differ only in how a process suspends, never in what a
+  // choice, decision or hang means.
+  std::uint32_t proc_choose(int pid, std::uint32_t arity);
+  void proc_decide(int pid, Value v);
+  void proc_hang(int pid);
+
   // --- World-state fingerprinting (stateful exploration) ------------------
   // Maintained incrementally only when the driver wants it (`fp_on_`):
   // `fp_world_` is the XOR of every process's running observation-chain
@@ -402,11 +410,13 @@ class Runtime {
   // XORs the old term out, mixes, and XORs the new term in — O(1) per
   // event. docs/explorer.md "Stateful exploration" gives the soundness
   // argument for what is (and isn't) folded.
+  // The two reports (`observe_fp`, `commit_fp` on either context) are no-ops
+  // unless `fp_on_`.
   void fp_fold(int pid, std::uint64_t v);
   void fp_observe(int pid, std::uint64_t v);
   void fp_commit(std::uint32_t object_id, std::uint64_t state_hash);
 
-  ScheduleDriver* driver_ = nullptr;
+  SchedulePolicy* driver_ = nullptr;
   TraceObserver* observer_ = nullptr;
 
   /// World construction is arena-backed: every Proc (and the proc table

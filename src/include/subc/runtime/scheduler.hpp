@@ -136,8 +136,9 @@ class SchedulePolicy {
   virtual void on_run_fp(std::uint64_t /*fp*/, bool /*valid*/) {}
 };
 
-/// Historical name for `SchedulePolicy`, kept so existing worlds and tests
-/// read naturally; the two are the same type.
+/// Former name of `SchedulePolicy`. Nothing in the library, tests, benches
+/// or examples uses it; it stays only because the benchmark harness
+/// (perfbench/src/trace.hpp) still spells it. Delete it with that use.
 using ScheduleDriver = SchedulePolicy;
 
 /// Cycles through processes in pid order; object choices always take

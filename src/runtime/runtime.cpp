@@ -207,11 +207,17 @@ void Runtime::fp_fold(int pid, std::uint64_t v) {
 }
 
 void Runtime::fp_observe(int pid, std::uint64_t v) {
+  if (!fp_on_) {
+    return;
+  }
   fp_fold(pid, detail::mix64(detail::kFpObserveSalt ^ v));
   fp_step_reported_ = true;
 }
 
 void Runtime::fp_commit(std::uint32_t object_id, std::uint64_t state_hash) {
+  if (!fp_on_) {
+    return;
+  }
   // The object announced a footprint before this step, so its id is set.
   SUBC_ASSERT(object_id != 0);
   const std::size_t id = object_id;
@@ -246,7 +252,7 @@ void Runtime::advance(Proc& proc) {
   }
 }
 
-Runtime::RunResult Runtime::run(ScheduleDriver& driver,
+Runtime::RunResult Runtime::run(SchedulePolicy& driver,
                                 std::int64_t max_steps) {
   if (started_) {
     throw SimError("Runtime::run is single-use");
@@ -555,75 +561,79 @@ void Context::sched_point(const ObjectId& obj, AccessKind kind) {
   Fiber::yield();
 }
 
-std::uint32_t Context::choose(std::uint32_t arity) {
-  if (runtime_->driver_ == nullptr) {
+std::uint32_t Runtime::proc_choose(int pid, std::uint32_t arity) {
+  if (driver_ == nullptr) {
     throw SimError("choose() outside run()");
   }
-  const std::uint32_t c = runtime_->driver_->choose(arity);
+  const std::uint32_t c = driver_->choose(arity);
   SUBC_ASSERT(c < arity);
   // The chosen value is process-visible nondeterminism: fold it so worlds
   // whose processes observed different choices cannot alias. A choose alone
   // does not count as a fingerprint report — the operation around it may
   // still mutate unported state.
-  if (runtime_->fp_on_) {
-    runtime_->fp_fold(pid_, detail::mix64(detail::kFpChooseSalt ^ c));
+  if (fp_on_) {
+    fp_fold(pid, detail::mix64(detail::kFpChooseSalt ^ c));
   }
-  if (runtime_->observer_ != nullptr) {
-    runtime_->observer_->on_choose(pid_, arity, c);
+  if (observer_ != nullptr) {
+    observer_->on_choose(pid, arity, c);
   }
   return c;
 }
 
-void Context::decide(Value v) {
+void Runtime::proc_decide(int pid, Value v) {
   if (v == kBottom) {
     throw SimError("decide(⊥) is not a valid task output");
   }
-  Value& slot = runtime_->decisions_[static_cast<std::size_t>(pid_)];
+  Value& slot = decisions_[static_cast<std::size_t>(pid)];
   if (slot != kBottom) {
     // A recovered incarnation legitimately re-runs its body and re-decides;
     // recoverable-task correctness demands it re-decide the *same* value
     // (idempotent, dropped) — a different one is a real disagreement bug.
-    if (runtime_->procs_[static_cast<std::size_t>(pid_)]->incarnation > 0) {
+    if (procs_[static_cast<std::size_t>(pid)]->incarnation > 0) {
       if (slot == v) {
         return;
       }
-      throw SimError("process " + std::to_string(pid_) +
+      throw SimError("process " + std::to_string(pid) +
                      " re-decided differently after recovery: " +
                      std::to_string(slot) + " then " + std::to_string(v));
     }
-    throw SimError("process " + std::to_string(pid_) + " decided twice");
+    throw SimError("process " + std::to_string(pid) + " decided twice");
   }
   slot = v;
-  if (runtime_->fp_on_) {
-    runtime_->fp_fold(pid_, detail::mix64(detail::kFpDecideSalt ^
-                                          static_cast<std::uint64_t>(v)));
+  if (fp_on_) {
+    fp_fold(pid, detail::mix64(detail::kFpDecideSalt ^
+                               static_cast<std::uint64_t>(v)));
   }
 }
 
-void Context::hang() {
+void Runtime::proc_hang(int pid) {
   // Hang is a report by convention: hangable operations in the object zoo
   // check-and-hang without mutating shared state, so the transition fold
   // captures the step completely.
-  if (runtime_->fp_on_) {
-    runtime_->fp_fold(pid_, detail::kFpHungSalt);
-    runtime_->fp_step_reported_ = true;
+  if (fp_on_) {
+    fp_fold(pid, detail::kFpHungSalt);
+    fp_step_reported_ = true;
   }
-  runtime_->procs_[static_cast<std::size_t>(pid_)]->state = ProcState::kHung;
+  procs_[static_cast<std::size_t>(pid)]->state = ProcState::kHung;
+}
+
+std::uint32_t Context::choose(std::uint32_t arity) {
+  return runtime_->proc_choose(pid_, arity);
+}
+
+void Context::decide(Value v) { runtime_->proc_decide(pid_, v); }
+
+void Context::hang() {
+  runtime_->proc_hang(pid_);
   for (;;) {
     Fiber::yield();  // Only a kill-unwind ever resumes us; yield() throws.
   }
 }
 
-void Context::observe_fp(std::uint64_t v) {
-  if (runtime_->fp_on_) {
-    runtime_->fp_observe(pid_, v);
-  }
-}
+void Context::observe_fp(std::uint64_t v) { runtime_->fp_observe(pid_, v); }
 
 void Context::commit_fp(const ObjectId& obj, std::uint64_t state_hash) {
-  if (runtime_->fp_on_) {
-    runtime_->fp_commit(obj.id_, state_hash);
-  }
+  runtime_->fp_commit(obj.id_, state_hash);
 }
 
 std::uint32_t StepContext::resume_point() const noexcept {
@@ -661,14 +671,7 @@ void StepContext::finish() {
   proc.step_advanced = true;
 }
 
-void StepContext::hang() {
-  // Mirrors Context::hang: the transition fold is the step's report.
-  if (runtime_->fp_on_) {
-    runtime_->fp_fold(pid_, detail::kFpHungSalt);
-    runtime_->fp_step_reported_ = true;
-  }
-  runtime_->procs_[static_cast<std::size_t>(pid_)]->state = ProcState::kHung;
-}
+void StepContext::hang() { runtime_->proc_hang(pid_); }
 
 bool StepContext::hung() const noexcept {
   return runtime_->procs_[static_cast<std::size_t>(pid_)]->state ==
@@ -676,55 +679,17 @@ bool StepContext::hung() const noexcept {
 }
 
 std::uint32_t StepContext::choose(std::uint32_t arity) {
-  if (runtime_->driver_ == nullptr) {
-    throw SimError("choose() outside run()");
-  }
-  const std::uint32_t c = runtime_->driver_->choose(arity);
-  SUBC_ASSERT(c < arity);
-  if (runtime_->fp_on_) {
-    runtime_->fp_fold(pid_, detail::mix64(detail::kFpChooseSalt ^ c));
-  }
-  if (runtime_->observer_ != nullptr) {
-    runtime_->observer_->on_choose(pid_, arity, c);
-  }
-  return c;
+  return runtime_->proc_choose(pid_, arity);
 }
 
-void StepContext::decide(Value v) {
-  if (v == kBottom) {
-    throw SimError("decide(⊥) is not a valid task output");
-  }
-  Value& slot = runtime_->decisions_[static_cast<std::size_t>(pid_)];
-  if (slot != kBottom) {
-    // Mirrors Context::decide: recovered incarnations re-decide
-    // idempotently; disagreement with the pre-crash decision is a bug.
-    if (runtime_->procs_[static_cast<std::size_t>(pid_)]->incarnation > 0) {
-      if (slot == v) {
-        return;
-      }
-      throw SimError("process " + std::to_string(pid_) +
-                     " re-decided differently after recovery: " +
-                     std::to_string(slot) + " then " + std::to_string(v));
-    }
-    throw SimError("process " + std::to_string(pid_) + " decided twice");
-  }
-  slot = v;
-  if (runtime_->fp_on_) {
-    runtime_->fp_fold(pid_, detail::mix64(detail::kFpDecideSalt ^
-                                          static_cast<std::uint64_t>(v)));
-  }
-}
+void StepContext::decide(Value v) { runtime_->proc_decide(pid_, v); }
 
 void StepContext::observe_fp(std::uint64_t v) {
-  if (runtime_->fp_on_) {
-    runtime_->fp_observe(pid_, v);
-  }
+  runtime_->fp_observe(pid_, v);
 }
 
 void StepContext::commit_fp(const ObjectId& obj, std::uint64_t state_hash) {
-  if (runtime_->fp_on_) {
-    runtime_->fp_commit(obj.id_, state_hash);
-  }
+  runtime_->fp_commit(obj.id_, state_hash);
 }
 
 }  // namespace subc

@@ -47,7 +47,7 @@ void check_adopt_commit_properties(const std::vector<Outcome>& outcomes,
 TEST(AdoptCommit, PropertiesHoldExhaustivelyWithMixedProposals) {
   const std::vector<Value> proposals{10, 20, 10};
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         AdoptCommit ac(3);
         std::vector<Outcome> outcomes(3);
@@ -67,7 +67,7 @@ TEST(AdoptCommit, PropertiesHoldExhaustivelyWithMixedProposals) {
 
 TEST(AdoptCommit, ConvergenceAllSameValueCommitsEverywhere) {
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         AdoptCommit ac(3);
         std::vector<Outcome> outcomes(3);
@@ -105,7 +105,7 @@ TEST(AdoptCommit, ConflictCanForceAdoptButNeverInventValues) {
   // occur (the adopt branch is exercised).
   bool saw_adopt = false;
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         AdoptCommit ac(2);
         std::vector<Outcome> outcomes(2);

@@ -37,7 +37,7 @@ TEST(BgSimulation, TransfersKSetConsensusUnderRandomSchedules) {
       inputs.push_back(100 + 7 * s);
     }
     const auto result = RandomSweep::run(
-        [&, m = m, n = n, k = k](ScheduleDriver& driver) {
+        [&, m = m, n = n, k = k](SchedulePolicy& driver) {
           Runtime rt;
           BgSimulation bg(m, n, k);
           for (int s = 0; s < m; ++s) {
@@ -63,7 +63,7 @@ TEST(BgSimulation, AllSimulatorsObserveTheSameExecution) {
   const int n = 5;
   const int k = 2;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         BgSimulation bg(m, n, k);
         for (int s = 0; s < m; ++s) {
@@ -104,7 +104,7 @@ TEST(BgSimulation, AllSimulatorsObserveTheSameExecution) {
 
 TEST(BgSimulation, SimulatedViewsAreMonotoneAndContainQuorumAtDecision) {
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         BgSimulation bg(3, 5, 2);
         for (int s = 0; s < 3; ++s) {
@@ -166,7 +166,7 @@ TEST(BgSimulation, ToleratesUpToKMinus1CrashedSimulators) {
         // Crash two victims (k−1 = 2): victim1 after steps1 own steps,
         // victim2 immediately.
         const int victim2 = (victim1 + 1) % m;
-        struct Driver final : ScheduleDriver {
+        struct Driver final : SchedulePolicy {
           Runtime* rt;
           RandomDriver inner;
           int victim1, steps1, victim2;

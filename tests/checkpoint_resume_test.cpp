@@ -44,7 +44,7 @@ std::string read_file(const std::string& path) {
 
 // A clean world (no violation): 3 processes x 2 steps, 90 raw schedules.
 ExecutionBody clean_body() {
-  return [](ScheduleDriver& driver) {
+  return [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(3, kBottom);
     for (int p = 0; p < 3; ++p) {
@@ -61,7 +61,7 @@ ExecutionBody clean_body() {
 // shared counter and writes back the value plus one; schedules where the
 // reads overlap lose an increment, and the body flags exactly those.
 ExecutionBody lost_update_body() {
-  return [](ScheduleDriver& driver) {
+  return [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> counter(0);
     for (int p = 0; p < 3; ++p) {
@@ -228,7 +228,7 @@ TEST(CheckpointResume, FinishedSnapshotResumesWithoutRerunning) {
   Explorer::Options opts;
   opts.checkpoint_path = cp;
   std::atomic<std::int64_t> bodies{0};
-  const ExecutionBody counted = [&bodies](ScheduleDriver& driver) {
+  const ExecutionBody counted = [&bodies](SchedulePolicy& driver) {
     bodies.fetch_add(1, std::memory_order_relaxed);
     clean_body()(driver);
   };
@@ -423,7 +423,7 @@ TEST(CheckpointResume, FrontierRingPressureDrainsInlineAndStaysExact) {
     std::atomic<int> probes_after_drain{0};
   };
   const auto body = [](std::shared_ptr<Gate> gate) -> ExecutionBody {
-    return [gate = std::move(gate)](ScheduleDriver& driver) {
+    return [gate = std::move(gate)](SchedulePolicy& driver) {
       Runtime rt;
       RegisterArray<> regs(4, kBottom);
       for (int p = 0; p < 4; ++p) {

@@ -21,7 +21,7 @@ const std::vector<std::vector<Value>> kTwoProcInputs{
 
 TEST(ClassicConsensus, TwoFromSwap) {
   const auto check = check_consensus_algorithm(
-      [](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+      [](SchedulePolicy& driver, const std::vector<Value>& inputs) {
         Runtime rt;
         TwoConsensusShared shared;
         SwapRegister swap(kBottom);
@@ -43,7 +43,7 @@ TEST(ClassicConsensus, TwoFromSwap) {
 
 TEST(ClassicConsensus, TwoFromTestAndSet) {
   const auto check = check_consensus_algorithm(
-      [](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+      [](SchedulePolicy& driver, const std::vector<Value>& inputs) {
         Runtime rt;
         TwoConsensusShared shared;
         TestAndSet tas;
@@ -64,7 +64,7 @@ TEST(ClassicConsensus, TwoFromTestAndSet) {
 
 TEST(ClassicConsensus, TwoFromFetchAdd) {
   const auto check = check_consensus_algorithm(
-      [](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+      [](SchedulePolicy& driver, const std::vector<Value>& inputs) {
         Runtime rt;
         TwoConsensusShared shared;
         FetchAdd fa(0);
@@ -85,7 +85,7 @@ TEST(ClassicConsensus, TwoFromFetchAdd) {
 
 TEST(ClassicConsensus, TwoFromQueue) {
   const auto check = check_consensus_algorithm(
-      [](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+      [](SchedulePolicy& driver, const std::vector<Value>& inputs) {
         Runtime rt;
         TwoConsensusShared shared;
         FifoQueue queue{0};  // pre-loaded winner token
@@ -126,7 +126,7 @@ TEST_P(ConsensusObjectSweep, NConsensusFromObject) {
     inputs.push_back(50 + i);
   }
   const auto check = check_consensus_algorithm(
-      [n](ScheduleDriver& driver, const std::vector<Value>& in) {
+      [n](SchedulePolicy& driver, const std::vector<Value>& in) {
         Runtime rt;
         ConsensusObject object(n);
         for (int p = 0; p < n; ++p) {
@@ -161,7 +161,7 @@ TEST_P(OnkConsensusSweep, NConsensusFromOnk) {
     inputs.push_back(60 + i);
   }
   const auto check = check_consensus_algorithm(
-      [n = n, k = k](ScheduleDriver& driver, const std::vector<Value>& in) {
+      [n = n, k = k](SchedulePolicy& driver, const std::vector<Value>& in) {
         Runtime rt;
         OnkObject object(n, k);
         for (int p = 0; p < n; ++p) {
@@ -188,7 +188,7 @@ TEST(WrnBoundary, Wrn2SolvesTwoConsensus) {
   // WRN_2 is SWAP: the write-mine-read-next protocol is a correct
   // 2-consensus algorithm — exhaustively validated.
   const auto check = check_consensus_algorithm(
-      [](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+      [](SchedulePolicy& driver, const std::vector<Value>& inputs) {
         Runtime rt;
         WrnObject wrn(2);
         for (int p = 0; p < 2; ++p) {
@@ -214,7 +214,7 @@ TEST_P(WrnAttemptFails, SameProtocolDisagreesOnWrnKForKAtLeast3) {
   // agreement on WRN_k, k ≥ 3, and the explorer exhibits the schedule.
   const int k = GetParam();
   const auto violation = find_consensus_violation(
-      [k](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+      [k](SchedulePolicy& driver, const std::vector<Value>& inputs) {
         Runtime rt;
         WrnObject wrn(k);
         for (int p = 0; p < 2; ++p) {
@@ -241,7 +241,7 @@ TEST(GacBoundary, GacSolvesNConsensusButNaiveNPlus1Fails) {
       inputs.push_back(10 + p);
     }
     const auto check = check_consensus_algorithm(
-        [n = n, i = i](ScheduleDriver& driver, const std::vector<Value>& in) {
+        [n = n, i = i](SchedulePolicy& driver, const std::vector<Value>& in) {
           Runtime rt;
           GacObject gac(n, i);
           for (int p = 0; p < n; ++p) {
@@ -261,7 +261,7 @@ TEST(GacBoundary, GacSolvesNConsensusButNaiveNPlus1Fails) {
   }
   // ...but n+1 processes on the same object disagree under some schedule.
   const auto violation = find_consensus_violation(
-      [](ScheduleDriver& driver, const std::vector<Value>& inputs) {
+      [](SchedulePolicy& driver, const std::vector<Value>& inputs) {
         Runtime rt;
         GacObject gac(2, 1);  // n = 2: block size 2
         for (int p = 0; p < 3; ++p) {
@@ -288,7 +288,7 @@ TEST_P(CasConsensusSweep, CasSolvesConsensusForAnyN) {
     inputs.push_back(70 + i);
   }
   const auto check = check_consensus_algorithm(
-      [n](ScheduleDriver& driver, const std::vector<Value>& in) {
+      [n](SchedulePolicy& driver, const std::vector<Value>& in) {
         Runtime rt;
         CompareAndSwap cas;
         for (int p = 0; p < n; ++p) {
@@ -319,7 +319,7 @@ TEST_P(StickyConsensusSweep, StickyRegisterSolvesConsensusForAnyN) {
     inputs.push_back(90 + i);
   }
   const auto check = check_consensus_algorithm(
-      [n](ScheduleDriver& driver, const std::vector<Value>& in) {
+      [n](SchedulePolicy& driver, const std::vector<Value>& in) {
         Runtime rt;
         StickyRegister sticky;
         for (int p = 0; p < n; ++p) {

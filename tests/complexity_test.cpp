@@ -19,7 +19,7 @@ TEST(StepComplexity, Algorithm2IsOneStepPerProcess) {
   // Algorithm 2 is a single WRN invocation: exactly 1 step per process,
   // under every schedule.
   const int k = 4;
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     WrnSetConsensus algorithm(k);
     for (int p = 0; p < k; ++p) {
@@ -39,7 +39,7 @@ TEST(StepComplexity, Algorithm2IsOneStepPerProcess) {
 
 TEST(StepComplexity, RelaxedWrnIsAtMostThreeSteps) {
   // Algorithm 4: increment + read + (maybe) inner WRN = ≤ 3 steps.
-  const auto result = Explorer::explore([](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([](SchedulePolicy& driver) {
     Runtime rt;
     RelaxedWrn rlx(3);
     for (int p = 0; p < 3; ++p) {
@@ -61,7 +61,7 @@ TEST(StepComplexity, Algorithm5IsAtMostSevenStepsWithAtomicSnapshots) {
   // publish O[i] + Snapshot(O) = ≤ 7 steps per operation.
   const int k = 4;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(k);
         for (int p = 0; p < k; ++p) {
@@ -103,7 +103,7 @@ TEST(Determinism, SameSeedSameDecisionsAcrossComplexWorlds) {
 TEST(Determinism, ExplorerReplayReproducesComplexViolations) {
   // Build a world that violates under some schedule (the view-check
   // ablation); the returned trace must deterministically reproduce it.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     WrnFromSse object(4, WrnFromSse::Options{.use_view_check = false});
     History history;

@@ -101,7 +101,7 @@ TEST(CrashAdversary, BeginRunResetsTheBudget) {
 /// w0 back to back; p1 runs w2 concurrently and is killed mid-operation by
 /// the adversary's plan.
 ExecutionBody doorway_scenario(WrnFromSse::Options options, History* history) {
-  return [options, history](ScheduleDriver& driver) {
+  return [options, history](SchedulePolicy& driver) {
     Runtime rt;
     WrnFromSse object(3, options);
     rt.add_process([&](Context& ctx) {

@@ -35,7 +35,7 @@ TEST(CrashExploration, SingleCrashPlacementsOnTinyWorldAreExhaustive) {
   opts.reduction = Reduction::kNone;
   opts.max_crashes = 1;
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         RegisterArray<> regs(2, kBottom);
         for (int p = 0; p < 2; ++p) {
@@ -60,7 +60,7 @@ TEST(CrashExploration, SingleCrashPlacementsOnTinyWorldAreExhaustive) {
 
 TEST(CrashExploration, CrashBudgetZeroIsTheBaseline) {
   // max_crashes = 0 (the default) must not perturb the search at all.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(3, kBottom);
     for (int p = 0; p < 3; ++p) {
@@ -91,7 +91,7 @@ TEST(CrashExploration, CrashBudgetZeroIsTheBaseline) {
 // ---------------------------------------------------------------------------
 
 ExecutionBody doorway_body(WrnFromSse::Options options) {
-  return [options](ScheduleDriver& driver) {
+  return [options](SchedulePolicy& driver) {
     Runtime rt;
     WrnFromSse object(3, options);
     History history;
@@ -178,7 +178,7 @@ TEST(CrashExploration, DoorwayAblationConvictedDeterministically) {
 // ---------------------------------------------------------------------------
 
 ExecutionBody livelock_body() {
-  return [](ScheduleDriver& driver) {
+  return [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> flag(0);
     Register<> scratch(kBottom);
@@ -251,7 +251,7 @@ TEST(CrashExploration, WatchdogConvertsLivelockIntoStuckExecutions) {
 
 TEST(CrashExploration, WatchdogLeavesTerminatingWorldsAlone) {
   // A generous quota must not change anything on a terminating world.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(2, kBottom);
     for (int p = 0; p < 2; ++p) {
@@ -331,7 +331,7 @@ TEST(CrashExploration, CrashEventsRoundTripThroughJsonlIntoTraceViz) {
   RoundRobinDriver inner;
   CrashAdversary adversary(inner, {CrashAdversary::CrashPoint{1, 2}});
   const auto violation = run_one(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         RegisterArray<> regs(2, kBottom);
         History history;

@@ -169,7 +169,7 @@ TEST(CrashInjection, ExhaustiveCrashPointsForAlgorithm2) {
   const int k = 3;
   std::vector<Value> inputs{7, 8, 9};
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         WrnSetConsensus algorithm(k);
         for (int p = 0; p < k; ++p) {

@@ -37,7 +37,7 @@ struct Pin {
 };
 
 ExecutionBody register_world(Eng engine) {
-  return [engine](ScheduleDriver& driver) {
+  return [engine](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(3, kBottom);
     std::array<Value, 3> seen{kBottom, kBottom, kBottom};
@@ -65,7 +65,7 @@ ExecutionBody register_world(Eng engine) {
 
 ExecutionBody gac_world(Eng engine) {
   static const std::vector<Value> inputs{200, 201, 202};
-  return [engine](ScheduleDriver& driver) {
+  return [engine](SchedulePolicy& driver) {
     Runtime rt;
     GacObject gac(1, 1);
     for (int p = 0; p < 3; ++p) {
@@ -85,7 +85,7 @@ ExecutionBody gac_world(Eng engine) {
 }
 
 ExecutionBody wrn_world(Eng engine) {
-  return [engine](ScheduleDriver& driver) {
+  return [engine](SchedulePolicy& driver) {
     Runtime rt;
     OneShotWrnObject wrn(3);
     std::array<Value, 3> got{kBottom, kBottom, kBottom};
@@ -110,7 +110,7 @@ ExecutionBody wrn_world(Eng engine) {
 
 ExecutionBody consensus_world(Eng engine) {
   static const std::vector<Value> inputs{3, 9};
-  return [engine](ScheduleDriver& driver) {
+  return [engine](SchedulePolicy& driver) {
     Runtime rt;
     TwoConsensusShared shared;
     SwapRegister swap(kBottom);

@@ -27,7 +27,7 @@ Explorer::Options unreduced() {
 TEST(Explorer, EnumeratesAllInterleavingsTwoProcessesOneStep) {
   std::set<std::vector<Value>> outcomes;
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         Register<> reg(kBottom);
         std::vector<Value> reads(2, kBottom);
@@ -55,7 +55,7 @@ TEST(Explorer, EnumeratesAllInterleavingsTwoProcessesOneStep) {
 TEST(Explorer, CountsMultinomialSchedules) {
   // 3 processes x 2 steps: 6!/(2!2!2!) = 90 schedules.
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         Register<> reg(0);
         for (int p = 0; p < 3; ++p) {
@@ -75,7 +75,7 @@ TEST(Explorer, SleepSetsCollapseCommutingReadsToOneExecution) {
   // The same all-reads world under the default reduction: every pair of
   // pending steps commutes (read∥read on one register), so sleep sets leave
   // exactly one representative of the single Mazurkiewicz class.
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(0);
     for (int p = 0; p < 3; ++p) {
@@ -95,7 +95,7 @@ TEST(Explorer, SleepSetsCollapseCommutingReadsToOneExecution) {
 TEST(Explorer, EnumeratesObjectNondeterminism) {
   // One process making a 3-way choice then a 2-way choice: 6 executions.
   std::set<std::pair<std::uint32_t, std::uint32_t>> seen;
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(0);
     rt.add_process([&](Context& ctx) {
@@ -114,7 +114,7 @@ TEST(Explorer, EnumeratesObjectNondeterminism) {
 TEST(Explorer, ReportsViolationWithReplayableTrace) {
   // Fails iff process 1 runs first; the explorer must find it and the trace
   // must replay to the same failure.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(kBottom);
     rt.add_process([&](Context& ctx) { reg.write(ctx, 1); });
@@ -135,7 +135,7 @@ TEST(Explorer, RespectsExecutionBudget) {
   Explorer::Options opts = unreduced();
   opts.max_executions = 10;
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         Register<> reg(0);
         for (int p = 0; p < 4; ++p) {
@@ -155,7 +155,7 @@ TEST(Explorer, RespectsExecutionBudget) {
 
 TEST(RandomSweep, PassesCleanBodyAndReportsSeeds) {
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         Register<> reg(0);
         rt.add_process([&](Context& ctx) { reg.write(ctx, 1); });
@@ -169,7 +169,7 @@ TEST(RandomSweep, PassesCleanBodyAndReportsSeeds) {
 TEST(RandomSweep, FindsSeedDependentViolation) {
   // Violates when the random driver schedules process 1 first.
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         Register<> reg(kBottom);
         rt.add_process([&](Context& ctx) { reg.write(ctx, 1); });
@@ -203,7 +203,7 @@ TEST(Explorer, BudgetExhaustionOnViolationFreeBodyReportsIncomplete) {
   Explorer::Options opts = unreduced();
   opts.max_executions = 37;
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         Register<> reg(0);
         for (int p = 0; p < 3; ++p) {
@@ -225,7 +225,7 @@ TEST(Explorer, ReplayRoundTripsRecordedViolatingTrace) {
   // The recorded violating trace must reproduce the identical execution: the
   // replayed decision string equals the recorded one bit-for-bit, and the
   // same violation fires.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(kBottom);
     rt.add_process([&](Context& ctx) {
@@ -253,7 +253,7 @@ TEST(Explorer, Arity1DecisionsAreElidedFromTraces) {
   // A single process makes every decision forced (one enabled pid, no
   // object nondeterminism): one execution, empty trace.
   std::vector<ReplayDriver::Decision> trace{{9, 9}};  // must be overwritten
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(0);
     rt.add_process([&](Context& ctx) {
@@ -280,7 +280,7 @@ TEST(Explorer, PruneHookCutsSubtreesAndCountsThem) {
     return prefix.size() == 1 && prefix[0].chosen != 0;
   };
   const auto pruned = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         Register<> reg(0);
         for (int p = 0; p < 3; ++p) {
@@ -303,7 +303,7 @@ TEST(Explorer, PruneHookCutsSubtreesAndCountsThem) {
 TEST(Explorer, HungProcessesDoNotStallExploration) {
   // A process that hangs leaves the others enumerable.
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         Register<> reg(0);
         rt.add_process([&](Context& ctx) {
@@ -320,7 +320,7 @@ TEST(Explorer, HungProcessesDoNotStallExploration) {
 }
 
 TEST(Explorer, RejectsInvalidOptions) {
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     rt.add_process([](Context&) {});
     rt.run(driver);
@@ -341,7 +341,7 @@ TEST(Explorer, BudgetExactlyEqualToTreeSizeReportsComplete) {
   // Boundary: the tree has exactly 6 executions. A budget of 6 exhausts the
   // tree with the last reservation, so the search is complete; 5 is not.
   // Serial and parallel must agree on both sides of the boundary.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> a(0);
     Register<> b(0);

@@ -67,7 +67,7 @@ class ImmediateSnapshotSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(ImmediateSnapshotSweep, ThreePropertiesHoldOnEverySchedule) {
   const int n = GetParam();
-  const ExecutionBody body = [n](ScheduleDriver& driver) {
+  const ExecutionBody body = [n](SchedulePolicy& driver) {
     Runtime rt;
     ImmediateSnapshot is(n);
     std::vector<std::vector<Member>> views(static_cast<std::size_t>(n));
@@ -174,7 +174,7 @@ TEST_P(SelfElectionSweep, ElectionIsValidAndSelfElecting) {
   // The [9] mechanism: min-of-view election satisfies validity and
   // self-election on every schedule.
   const int n = GetParam();
-  const ExecutionBody body = [n](ScheduleDriver& driver) {
+  const ExecutionBody body = [n](SchedulePolicy& driver) {
     Runtime rt;
     SelfElectingElection election(n);
     std::vector<int> participants;

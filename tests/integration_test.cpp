@@ -26,7 +26,7 @@ TEST(Integration, Theorem2LoopSetConsensusOnDerivedWrn) {
       inputs.push_back(100 + p);
     }
     const auto result = RandomSweep::run(
-        [&, k](ScheduleDriver& driver) {
+        [&, k](SchedulePolicy& driver) {
           Runtime rt;
           WrnFromSse derived(k);  // Algorithm 5's implemented 1sWRN_k
           History history;
@@ -52,7 +52,7 @@ TEST(Integration, Theorem2LoopSetConsensusOnDerivedWrn) {
 TEST(Integration, Theorem2LoopIsExhaustivelyCleanForK3Prefix) {
   std::vector<Value> inputs{100, 101, 102};
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse derived(3);
         for (int p = 0; p < 3; ++p) {
@@ -78,7 +78,7 @@ TEST(Integration, Algorithm3OnRegisterBuiltSnapshots) {
   const int k = 3;
   std::vector<Value> inputs{11, 22, 33};
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         // SnapshotRenaming's register backing is selected inside
         // AnonymousSetConsensus via its own constructor; drive the variant
@@ -117,7 +117,7 @@ TEST(Integration, Algorithm3OnRegisterBuiltSnapshots) {
 // isolated per object instance.
 TEST(Integration, IndependentObjectsDoNotInterfere) {
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         WrnSetConsensus wrn_task(4);
         OnkObject onk(2, 2);
@@ -161,7 +161,7 @@ TEST(Integration, CalculusPredictsSimulatedPartitionAgreement) {
   std::vector<Value> inputs{10, 20, 30, 40, 50};
   int max_distinct = 0;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         WrnSetConsensus group_a(k);
         WrnSetConsensus group_b(k);

@@ -54,7 +54,7 @@ TEST(MwmrFromSwmr, SequentialSemanticsMatchNativeRegister) {
 TEST(MwmrFromSwmr, LinearizableUnderExhaustiveSchedules) {
   // 2 writers + 1 reader, every schedule, history checked against the spec.
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         MwmrFromSwmr reg(2);
         History history;
@@ -80,7 +80,7 @@ TEST(MwmrFromSwmr, LinearizableUnderExhaustiveSchedules) {
 
 TEST(MwmrFromSwmr, ConcurrentWritersConvergeUnderRandomSchedules) {
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         MwmrFromSwmr reg(4);
         History history;

@@ -63,7 +63,7 @@ TEST(Counter, IncrementAndRead) {
 }
 
 TEST(TestAndSet, ExactlyOneWinnerUnderAllSchedules) {
-  const auto result = Explorer::explore([](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([](SchedulePolicy& driver) {
     Runtime rt;
     TestAndSet tas;
     std::vector<bool> won(3, false);
@@ -165,7 +165,7 @@ TEST(SetConsensusObject, AllBehavioursSatisfyTheSpec) {
   // Exhaustively drive a (3,2)-set-consensus object with 3 distinct
   // proposals: under every schedule and every nondeterministic resolution,
   // outputs are valid proposals and take at most 2 distinct values.
-  const auto result = Explorer::explore([](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([](SchedulePolicy& driver) {
     Runtime rt;
     SetConsensusObject sc(3, 2);
     const std::vector<Value> inputs{10, 20, 30};
@@ -196,7 +196,7 @@ TEST(SetConsensusObject, AllBehavioursSatisfyTheSpec) {
 TEST(SetConsensusObject, AdversaryCanRealizeKDistinctOutputs) {
   // The bound k is tight: some behaviour produces 2 distinct outputs.
   int max_distinct = 0;
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     SetConsensusObject sc(3, 2);
     std::vector<Value> outputs(3, kBottom);
@@ -230,7 +230,7 @@ TEST(SetConsensusObject, HangsBeyondN) {
 TEST(StrongSetElectionObject, AllBehavioursSatisfyStrongElection) {
   // (3,2)-strong set election: ≤2 winners, self-election, validity — under
   // every schedule and adversary choice.
-  const auto result = Explorer::explore([](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([](SchedulePolicy& driver) {
     Runtime rt;
     StrongSetElectionObject sse(3, 2);
     std::vector<Value> elected(3, kBottom);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <limits>
 #include <sstream>
 
 #include "subc/checking/trace_jsonl.hpp"
@@ -152,7 +153,7 @@ TEST(Observer, RunOneInstallsThreadDefaultForBodyConstructedRuntimes) {
   AccessCounters counters;
   RoundRobinDriver rr;
   const auto violation = run_one(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         RegisterArray<> regs(2, kBottom);
         for (int p = 0; p < 2; ++p) {
@@ -170,7 +171,7 @@ TEST(Observer, RunOneReportsViolationsToObserverAndCaller) {
   ViolationCollector collector;
   RoundRobinDriver rr;
   const auto violation = run_one(
-      [](ScheduleDriver&) { throw SpecViolation("seeded failure"); }, rr,
+      [](SchedulePolicy&) { throw SpecViolation("seeded failure"); }, rr,
       &collector);
   ASSERT_TRUE(violation.has_value());
   EXPECT_EQ(*violation, "seeded failure");
@@ -199,7 +200,7 @@ TEST(Observer, ScopedObserverNestsAndRestores) {
 // The observer must be a pure sink: attaching one to an exhaustive search
 // changes none of the result fields.
 TEST(Observer, ExplorerResultsIdenticalWithAndWithoutObserver) {
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(3, kBottom);
     for (int p = 0; p < 3; ++p) {
@@ -239,7 +240,7 @@ TEST(ProgressTicker, CountsExecutionsAndEmitsLines) {
   std::ostringstream sink;
   // Period 0: every completed run crosses the tick threshold.
   ProgressTicker ticker(/*period_seconds=*/0.0, &sink);
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(3, kBottom);
     for (int p = 0; p < 3; ++p) {
@@ -268,7 +269,7 @@ TEST(ProgressTicker, CountsExecutionsAndEmitsLines) {
 
 TEST(ProgressTicker, TracksReductionSkips) {
   ProgressTicker ticker(/*period_seconds=*/1e9, nullptr);  // never prints
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(3, kBottom);
     for (int p = 0; p < 3; ++p) {
@@ -290,7 +291,7 @@ TEST(ProgressTicker, TracksReductionSkips) {
 }
 
 TEST(ProgressTicker, CountsViolationsAndStaysVerdictNeutral) {
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(2, kBottom);
     rt.add_process([&](Context& ctx) { regs[0].write(ctx, 1); });
@@ -331,7 +332,7 @@ TEST(ProgressTicker, CountsViolationsAndStaysVerdictNeutral) {
 
 TEST(ProgressTicker, ParallelSearchAggregatesAcrossWorkers) {
   ProgressTicker ticker(/*period_seconds=*/1e9, nullptr);
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(4, kBottom);
     for (int p = 0; p < 4; ++p) {
@@ -353,7 +354,7 @@ TEST(ProgressTicker, ParallelSearchAggregatesAcrossWorkers) {
 
 TEST(Observer, RandomSweepFeedsObserver) {
   AccessCounters counters;
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(2, kBottom);
     for (int p = 0; p < 2; ++p) {
@@ -372,7 +373,7 @@ TEST(TraceJsonl, RoundTripsHistoryIntoTraceViz) {
   RoundRobinDriver rr;
   std::string original_dump;
   const auto violation = run_one(
-      [&original_dump](ScheduleDriver& driver) {
+      [&original_dump](SchedulePolicy& driver) {
         Runtime rt;
         RegisterArray<> regs(2, kBottom);
         History history;
@@ -411,7 +412,7 @@ TEST(TraceJsonl, ViolationMessagesSurviveEscaping) {
   RoundRobinDriver rr;
   const std::string nasty = "line1\nline2\t\"quoted\" back\\slash";
   const auto violation = run_one(
-      [&](ScheduleDriver&) { throw SpecViolation(nasty); }, rr, &writer);
+      [&](SchedulePolicy&) { throw SpecViolation(nasty); }, rr, &writer);
   ASSERT_TRUE(violation.has_value());
   const ParsedTrace parsed = parse_trace_jsonl(sink.str());
   ASSERT_EQ(parsed.violations.size(), 1u);
@@ -457,6 +458,46 @@ TEST(TraceJsonl, ParserRejectsGarbage) {
        }) {
     EXPECT_THROW(parse_trace_jsonl(line), SimError) << line;
   }
+  // Hostile value arrays and string escapes: an overflowing value must not
+  // clamp to int64 max or silently become ⊥ (INT64_MIN), array syntax is
+  // strict, and a \u escape needs four hex digits naming an ASCII code
+  // point instead of decaying to a NUL byte.
+  const std::string invoke =
+      "{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":1,\"op\":[0]}\n";
+  for (const std::string& text : {
+           std::string("{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":1,"
+                       "\"op\":[-9223372036854775809]}"),
+           std::string("{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":1,"
+                       "\"op\":[9223372036854775808]}"),
+           std::string("{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":1,"
+                       "\"op\":[1,]}"),
+           std::string("{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":1,"
+                       "\"op\":[1 2]}"),
+           std::string("{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":1,"
+                       "\"op\":[+1]}"),
+           std::string("{\"ev\":\"invoke\",\"pid\":0,\"handle\":0,\"t\":1,"
+                       "\"op\":[1"),
+           invoke + "{\"ev\":\"respond\",\"pid\":0,\"handle\":0,\"t\":2,"
+                    "\"resp\":[-9223372036854775809]}",
+           invoke + "{\"ev\":\"respond\",\"pid\":0,\"handle\":0,\"t\":2,"
+                    "\"resp\":[0.5]}",
+           std::string("{\"ev\":\"violation\",\"msg\":\"a\\uZZZZb\"}"),
+           std::string("{\"ev\":\"violation\",\"msg\":\"a\\u12\"}"),
+           std::string("{\"ev\":\"violation\",\"msg\":\"a\\u00e9\"}"),
+       }) {
+    EXPECT_THROW(parse_trace_jsonl(text), SimError) << text;
+  }
+  // The extremes that are legal still parse: INT64_MIN is the writer's ⊥,
+  // and a control byte travels as a \u escape.
+  const ParsedTrace edge = parse_trace_jsonl(
+      invoke + "{\"ev\":\"respond\",\"pid\":0,\"handle\":0,\"t\":2,"
+               "\"resp\":[-9223372036854775808,9223372036854775807]}\n"
+               "{\"ev\":\"violation\",\"msg\":\"a\\u001fb\"}");
+  ASSERT_EQ(edge.history.entries().size(), 1u);
+  EXPECT_EQ(edge.history.entries()[0].response,
+            (std::vector<Value>{kBottom, std::numeric_limits<Value>::max()}));
+  ASSERT_EQ(edge.violations.size(), 1u);
+  EXPECT_EQ(edge.violations[0], "a\x1f" "b");
   // A handle far beyond any history is only a key, never an allocation
   // size: it parses, and its respond pairs with it.
   const ParsedTrace far = parse_trace_jsonl(

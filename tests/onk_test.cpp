@@ -78,7 +78,7 @@ TEST_P(GacAgreementSweep, FullOccupancyRespectsAgreementBound) {
     inputs.push_back(200 + p);
   }
   int max_distinct = 0;
-  const ExecutionBody body = [&, n = n, i = i](ScheduleDriver& driver) {
+  const ExecutionBody body = [&, n = n, i = i](SchedulePolicy& driver) {
     Runtime rt;
     GacObject gac(n, i);
     for (int p = 0; p < m; ++p) {
@@ -152,7 +152,7 @@ TEST_P(OnkSetConsensusSweep, AchievesDeclaredAgreement) {
   EXPECT_EQ(x, onk_best_agreement(n, k, procs));
   int max_distinct = 0;
   const auto result = RandomSweep::run(
-      [&, n = n, k = k, procs = procs](ScheduleDriver& driver) {
+      [&, n = n, k = k, procs = procs](SchedulePolicy& driver) {
         Runtime rt;
         OnkSetConsensus algorithm(n, k, procs);
         for (int p = 0; p < procs; ++p) {
@@ -216,7 +216,7 @@ TEST(OnkFromStrongerAdapter, ConcurrentUseKeepsComponentSemantics) {
   // Concurrent adapter use: per component, outputs are valid proposals and
   // within the component's agreement bound — under every schedule.
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         OnkObject stronger(2, 4);
         OnkFromStronger adapted(stronger, 2);
@@ -266,7 +266,7 @@ TEST(OnkSeparationInSimulator, NkProcessesSeparateKFromKPlus1) {
   int max_distinct_k1 = 0;
   auto sweep = [&](int components, int* max_distinct) {
     return RandomSweep::run(
-        [&, components](ScheduleDriver& driver) {
+        [&, components](SchedulePolicy& driver) {
           Runtime rt;
           OnkSetConsensus algorithm(n, components, system);
           for (int p = 0; p < system; ++p) {

@@ -47,7 +47,7 @@ TEST(Claims4And5, FirstDecidesOwnLastDecidesSuccessorEverySchedule) {
   // Claims 4 and 5, quantified over every schedule for k = 4.
   const int k = 4;
   const std::vector<Value> inputs{10, 20, 30, 40};
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     WrnSetConsensus algorithm(k);
     std::vector<int> order;
@@ -85,7 +85,7 @@ TEST(Claim16, SomeProcessAdoptsAnothersValueWhenAllKParticipate) {
   const int k = 3;
   const std::vector<Value> inputs{11, 22, 33};
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         AnonymousSetConsensus algorithm(k, k);
         for (int p = 0; p < k; ++p) {
@@ -115,7 +115,7 @@ TEST(Corollary17, SomeProposalIsNeverDecided) {
   const int k = 3;
   const std::vector<Value> inputs{11, 22, 33};
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         AnonymousSetConsensus algorithm(k, k);
         for (int p = 0; p < k; ++p) {
@@ -149,7 +149,7 @@ struct Alg5Run {
   std::vector<Value> outputs;  // per index
 };
 
-Alg5Run run_alg5(ScheduleDriver& driver, int k) {
+Alg5Run run_alg5(SchedulePolicy& driver, int k) {
   Alg5Run out;
   out.outputs.assign(static_cast<std::size_t>(k), kBottom - 0);
   Runtime rt;
@@ -179,7 +179,7 @@ TEST(Lemmas25And26, TimingRelationsHoldOnEveryRecordedHistory) {
   //           w_{(i+1) mod k} starts.
   const int k = 3;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         const Alg5Run run = run_alg5(driver, k);
         for (int i = 0; i < k; ++i) {
           const auto* wi = entry_for_index(run, i);
@@ -211,7 +211,7 @@ TEST(Corollary28, PrecedenceGraphGIsAcyclic) {
   // least one ⊥ (Claim 23) AND at least one successor-adoption (Claim 24).
   const int k = 3;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         const Alg5Run run = run_alg5(driver, k);
         int bottoms = 0;
         int adoptions = 0;
@@ -240,7 +240,7 @@ TEST(Corollary36, BottomReturnsExactlyMatchALinearLowerSet) {
   // checker, each w_i returns ⊥ iff it appears before w_{(i+1) mod k}.
   const int k = 3;
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         const Alg5Run run = run_alg5(driver, k);
         const auto lin =
             check_linearizable(OneShotWrnSpec{k}, run.history.entries());

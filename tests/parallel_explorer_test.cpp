@@ -24,7 +24,7 @@ namespace {
 // A thread-safe world: `procs` processes each doing `steps` register reads.
 // Pure per-execution state, so it can run under any thread count.
 ExecutionBody grid_world(int procs, int steps) {
-  return [procs, steps](ScheduleDriver& driver) {
+  return [procs, steps](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(0);
     for (int p = 0; p < procs; ++p) {
@@ -43,7 +43,7 @@ ExecutionBody grid_world(int procs, int steps) {
 // requires a specific class of late schedules — the violating decision
 // strings are far from the DFS root.
 ExecutionBody deep_violation_world(int procs, int steps) {
-  return [procs, steps](ScheduleDriver& driver) {
+  return [procs, steps](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(kBottom);
     std::vector<int> saw_written(static_cast<std::size_t>(procs), 0);
@@ -113,7 +113,7 @@ TEST(ParallelExplorer, SleepSetCountsBitIdenticalAcrossThreadsAndDepths) {
   // report identical executions/reduced_subtrees/complete at every thread
   // count and frontier depth, and strictly fewer executions than raw
   // enumeration.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(3, kBottom);
     for (int p = 0; p < 3; ++p) {
@@ -148,7 +148,7 @@ TEST(ParallelExplorer, SleepSetCountsBitIdenticalAcrossThreadsAndDepths) {
 }
 
 TEST(ParallelExplorer, ObjectNondeterminismCountsMatchSerial) {
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(0);
     for (int p = 0; p < 2; ++p) {
@@ -250,7 +250,7 @@ TEST(ParallelExplorer, OutcomeSetsMatchSerialWithSynchronizedBody) {
     Explorer::Options opts = unreduced();
     opts.threads = threads;
     const auto result = Explorer::explore(
-        [&](ScheduleDriver& driver) {
+        [&](SchedulePolicy& driver) {
           Runtime rt;
           Register<> reg(kBottom);
           std::vector<Value> reads(2, kBottom);
@@ -274,7 +274,7 @@ TEST(ParallelExplorer, OutcomeSetsMatchSerialWithSynchronizedBody) {
 
 TEST(ParallelRandomSweep, CleanSweepCountsAllRuns) {
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         Register<> reg(0);
         rt.add_process([&](Context& ctx) { reg.write(ctx, 1); });
@@ -286,7 +286,7 @@ TEST(ParallelRandomSweep, CleanSweepCountsAllRuns) {
 }
 
 TEST(ParallelRandomSweep, ReportsLeastFailingSeedLikeSerial) {
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(kBottom);
     rt.add_process([&](Context& ctx) { reg.write(ctx, 1); });

@@ -29,7 +29,7 @@ TEST_P(PartitionSweep, MeetsTheorem41Bound) {
   const int k = probe.agreement();
   EXPECT_EQ(k, sc_partition_agreement(n, m, j));
   int max_distinct = 0;
-  const ExecutionBody body = [&, n = n, m = m, j = j](ScheduleDriver& driver) {
+  const ExecutionBody body = [&, n = n, m = m, j = j](SchedulePolicy& driver) {
     Runtime rt;
     PartitionSetConsensus algorithm(n, m, j);
     for (int p = 0; p < n; ++p) {
@@ -66,7 +66,7 @@ INSTANTIATE_TEST_SUITE_P(Grid, PartitionSweep,
 TEST(PartitionSetConsensus, SubsetParticipation) {
   // Only some processes participate: still valid, still within bound.
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         PartitionSetConsensus algorithm(6, 3, 2);
         const std::vector<Value> inputs{10, 11, 12, 13, 14, 15};

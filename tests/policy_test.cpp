@@ -250,7 +250,7 @@ TEST(PctPolicy, HighestPriorityProcessRunsSolo) {
 constexpr int kWork = 21;
 
 ExecutionBody rare_ordering_world() {
-  return [](ScheduleDriver& driver) {
+  return [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> cells(kWork, kBottom);
     Register<Value> flag(0);

@@ -57,7 +57,7 @@ TEST(PortedWrn, MisuseIsDetectableUnlikeTheObliviousHang) {
 TEST(PortedWrn, Algorithm2OverPortsSolvesSetConsensus) {
   const int k = 4;
   std::vector<Value> inputs{10, 20, 30, 40};
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     PortedWrn ported(k);
     for (int p = 0; p < k; ++p) {

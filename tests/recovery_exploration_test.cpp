@@ -42,7 +42,7 @@ TEST(RecoveryExploration, RecoveryBranchingOnTinyWorldIsExhaustive) {
   opts.max_crashes = 1;
   opts.max_recoveries = 1;
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         RegisterArray<> regs(2, kBottom);
         for (int p = 0; p < 2; ++p) {
@@ -74,7 +74,7 @@ TEST(RecoveryExploration, RecoveryBudgetZeroIsTheBaseline) {
   // max_recoveries = 0 (the default) keeps crash exploration exactly the
   // crash-stop search: no crashed execution restarts, and executions still
   // split into the crash-free base count plus the crashed ones.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(2, kBottom);
     for (int p = 0; p < 2; ++p) {
@@ -101,7 +101,7 @@ TEST(RecoveryExploration, RecoveryBudgetZeroIsTheBaseline) {
 TEST(RecoveryExploration, RecoveriesNeverFireWithoutCrashes) {
   // A recovery budget without a crash budget has nothing to restart: the
   // search is the plain one, bit for bit.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(2, kBottom);
     for (int p = 0; p < 2; ++p) {
@@ -124,7 +124,7 @@ TEST(RecoveryExploration, NegativeMaxRecoveriesRejected) {
   Explorer::Options opts;
   opts.max_recoveries = -1;
   try {
-    Explorer::explore([](ScheduleDriver&) {}, opts);
+    Explorer::explore([](SchedulePolicy&) {}, opts);
     FAIL() << "negative max_recoveries was accepted";
   } catch (const SimError& e) {
     EXPECT_NE(std::string(e.what()).find("max_recoveries"), std::string::npos)
@@ -161,7 +161,7 @@ void require_consensus(const Runtime::RunResult& run) {
 }
 
 ExecutionBody sticky_consensus_body(Durability durability, Engine engine) {
-  return [durability, engine](ScheduleDriver& driver) {
+  return [durability, engine](SchedulePolicy& driver) {
     Runtime rt;
     StickyRegister sticky(durability);
     if (engine == Engine::kFiber) {
@@ -391,7 +391,7 @@ TEST(Durability, RecoveredIncarnationRedecidesIdempotently) {
   CrashAdversary adversary(inner, {CrashAdversary::CrashPoint{0, 1}});
   adversary.set_recovery_plan({CrashAdversary::RecoveryPoint{0, 2}});
   const auto violation = run_one(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         StickyRegister sticky(Durability::kVolatile);
         Register<> scratch(kBottom);
@@ -416,7 +416,7 @@ TEST(Durability, RecoveredIncarnationRedecidesIdempotently) {
   CrashAdversary adversary2(inner2, {CrashAdversary::CrashPoint{0, 1}});
   adversary2.set_recovery_plan({CrashAdversary::RecoveryPoint{0, 2}});
   const auto clean = run_one(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         StickyRegister sticky(Durability::kDurable);
         Register<> scratch(kBottom);
@@ -468,7 +468,7 @@ TEST(RecoveryExploration, RecoverEventsRoundTripThroughJsonl) {
   CrashAdversary adversary(inner, {CrashAdversary::CrashPoint{0, 1}});
   adversary.set_recovery_plan({CrashAdversary::RecoveryPoint{0, 2}});
   const auto violation = run_one(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         StickyRegister sticky;
         Register<> scratch(kBottom);
@@ -499,7 +499,7 @@ TEST(RecoveryExploration, AccessCountersTallyRecoveries) {
   CrashAdversary adversary(inner, {CrashAdversary::CrashPoint{0, 1}});
   adversary.set_recovery_plan({CrashAdversary::RecoveryPoint{0, 2}});
   const auto violation = run_one(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         StickyRegister sticky;
         Register<> scratch(kBottom);
@@ -523,7 +523,7 @@ TEST(RecoveryExploration, RecordingPolicyJournalsRecoveries) {
   adversary.set_recovery_plan({CrashAdversary::RecoveryPoint{0, 2}});
   RecordingPolicy recorder(adversary);
   const auto violation = run_one(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         StickyRegister sticky;
         Register<> scratch(kBottom);
@@ -589,7 +589,7 @@ TEST(RecoveryPlanValidation, RandomRecoveryKnobsValidated) {
 
 TEST(RecoveryPlanValidation, SeededRandomRecoveryIsDeterministic) {
   // Same seed => bit-identical decision journal, recoveries included.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     StickyRegister sticky;
     Register<> scratch(kBottom);

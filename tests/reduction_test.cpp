@@ -77,7 +77,7 @@ TEST(ReductionSoundness, RegisterWorldPassesAndShrinks) {
   // 3 processes over 3 registers: write own cell, read the next one. Reads
   // of distinct cells commute, so sleep sets must shrink the tree strictly
   // while the read-your-neighbor validity property keeps passing.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(3, kBottom);
     std::array<Value, 3> seen{kBottom, kBottom, kBottom};
@@ -110,7 +110,7 @@ TEST(ReductionSoundness, GacWorldKeepsAgreementVerdict) {
   // raw. The GAC propose is an RMW on one object, so every pair of proposes
   // conflicts and reduction comes only from the decide/bookkeeping steps.
   const std::vector<Value> inputs{200, 201, 202};
-  const ExecutionBody body = [&](ScheduleDriver& driver) {
+  const ExecutionBody body = [&](SchedulePolicy& driver) {
     Runtime rt;
     GacObject gac(1, 1);
     for (int p = 0; p < 3; ++p) {
@@ -131,7 +131,7 @@ TEST(ReductionSoundness, GacWorldKeepsAgreementVerdict) {
 TEST(ReductionSoundness, WrnWorldKeepsValidityVerdict) {
   // A wrn_object_test instance: 3 processes use 1sWRN_3 once each with
   // distinct indices; every output is ⊥ or some proposed value.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     OneShotWrnObject wrn(3);
     std::array<Value, 3> got{kBottom, kBottom, kBottom};
@@ -157,7 +157,7 @@ TEST(ReductionSoundness, ClassicConsensusWorldKeepsVerdict) {
   // A classic_consensus_test instance: 2-consensus from swap. Agreement and
   // validity hold on every schedule, reduced or not.
   const std::vector<Value> inputs{3, 9};
-  const ExecutionBody body = [&](ScheduleDriver& driver) {
+  const ExecutionBody body = [&](SchedulePolicy& driver) {
     Runtime rt;
     TwoConsensusShared shared;
     SwapRegister swap(kBottom);
@@ -183,7 +183,7 @@ TEST(ReductionSoundness, SeededRaceViolationStillCaught) {
   // steps: p1's write lands between p0's write and read. The two writes and
   // the read all touch the same register, so no sleep set may skip the
   // schedule that exposes it.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> reg(kBottom);
     rt.add_process([&](Context& ctx) {
@@ -208,7 +208,7 @@ TEST(ReductionSoundness, SeededViolationBehindCommutingNoiseStillCaught) {
   // free to reorder: two noise processes touch private registers (fully
   // independent), then the dependent race from the previous test must still
   // be reached in some representative interleaving.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> noise(2, kBottom);
     Register<> reg(kBottom);
@@ -236,7 +236,7 @@ TEST(ReductionSoundness, ChooseDecisionsComposeWithReduction) {
   // Object nondeterminism (driver.choose via ctx.choose) interleaved with
   // commuting register steps: choose decision points carry no footprint and
   // must never be skipped, while the register noise still reduces.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(2, kBottom);
     std::array<std::uint32_t, 2> picks{0, 0};

@@ -24,7 +24,7 @@ TEST(RelaxedWrn, SoleUserBehavesLikeWrn) {
 TEST(RelaxedWrn, NeverHangsUnderIndexCollisions) {
   // Claim 19/20: the inner 1sWRN is used legally — so no process ever hangs,
   // even when several processes use the same index, under every schedule.
-  const auto result = Explorer::explore([](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([](SchedulePolicy& driver) {
     Runtime rt;
     RelaxedWrn rlx(3);
     for (int p = 0; p < 3; ++p) {
@@ -46,7 +46,7 @@ TEST(RelaxedWrn, NeverHangsUnderIndexCollisions) {
 TEST(RelaxedWrn, CollidingInvocationsMayAllGetBottom) {
   // With a collision, at most one process reaches the inner object; the
   // others get ⊥. Under every schedule, count inner successes.
-  const auto result = Explorer::explore([](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([](SchedulePolicy& driver) {
     Runtime rt;
     RelaxedWrn rlx(3);
     std::vector<Value> got(2, -1);
@@ -73,7 +73,7 @@ TEST(RelaxedWrn, DistinctIndicesAllReachInner) {
   // successor's value or ⊥, with at most k−1 of them ⊥... at least one
   // non-⊥ unless schedules allow; we check the WRN-shape of each output.
   const int k = 3;
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     RelaxedWrn rlx(k);
     std::vector<Value> got(static_cast<std::size_t>(k), -1);
@@ -105,7 +105,7 @@ TEST(RelaxedWrn, DistinctIndicesAllReachInner) {
 TEST(RelaxedWrn, MixedCollisionAndDistinctIndices) {
   // Two processes collide on index 0, one uses index 2 (whose successor is
   // slot 0). Nothing hangs; outputs have WRN shape.
-  const auto result = Explorer::explore([](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([](SchedulePolicy& driver) {
     Runtime rt;
     RelaxedWrn rlx(3);
     std::vector<Value> got(3, -1);

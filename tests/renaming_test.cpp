@@ -25,7 +25,7 @@ TEST_P(RenamingSweep, UniqueNamesInRange) {
   const auto [k, reg_snap] = GetParam();
   const bool exhaustive = (k <= 2 && !reg_snap) || (k == 3 && !reg_snap);
   const ExecutionBody body = [k, reg_snap =
-                                     reg_snap](ScheduleDriver& driver) {
+                                     reg_snap](SchedulePolicy& driver) {
     Runtime rt;
     SnapshotRenaming renaming(k, reg_snap);
     std::vector<Value> names(static_cast<std::size_t>(k), kBottom);
@@ -64,7 +64,7 @@ TEST(Renaming, SubsetParticipationStaysInSubsetRange) {
   // Only 2 of 5 potential processes participate: names must fit in
   // {0..2·2−2} = {0,1,2}.
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         SnapshotRenaming renaming(5);
         std::vector<Value> names(2, kBottom);

@@ -27,7 +27,7 @@ TEST(SafeAgreement, AgreementAndValidityUnderAllSchedules) {
   // starvation schedule where the awaiter runs alone forever, which is
   // exactly safe agreement's blocking condition.)
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         SafeAgreement sa(3);
         std::vector<Value> resolved(3, kBottom);
@@ -63,7 +63,7 @@ TEST(SafeAgreement, AwaitTerminatesUnderRandomSchedules) {
   // With a fair-ish (random) adversary and no crashes, await terminates and
   // everyone agrees on a proposed value.
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         SafeAgreement sa(3);
         std::vector<Value> resolved(3, kBottom);
@@ -122,7 +122,7 @@ TEST(SafeAgreement, CrashInWindowBlocksResolution) {
     }
   });
   // Let p0 take exactly 2 steps (write level 1 + scan), then crash it.
-  class CrashDriver final : public ScheduleDriver {
+  class CrashDriver final : public SchedulePolicy {
    public:
     explicit CrashDriver(Runtime* rt) : rt_(rt) {}
     std::size_t pick(std::span<const int> enabled,
@@ -172,7 +172,7 @@ TEST(SafeAgreement, ConcurrentLateProposerCannotFlipAgreement) {
   // Exhaustive: p0 proposes and resolves once; p1 proposes concurrently or
   // later. Whatever both eventually resolve must match and be a proposal.
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         SafeAgreement sa(2);
         std::vector<Value> probes;

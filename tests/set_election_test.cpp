@@ -14,7 +14,7 @@ namespace {
 
 TEST(SetElectionFromSc, ElectsAtMostKParticipants) {
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         SetElectionFromSc election(3, 2);
         std::vector<int> participants{0, 1, 2};
@@ -37,7 +37,7 @@ TEST_P(ElectionFromWrnSweep, KMinus1SetElectionFromWrn) {
   // Theorem 2's forward direction in election form: 1sWRN_k solves
   // (k,k−1)-set election.
   const int k = GetParam();
-  const ExecutionBody body = [k](ScheduleDriver& driver) {
+  const ExecutionBody body = [k](SchedulePolicy& driver) {
     Runtime rt;
     ElectionFromWrn election(k);
     std::vector<int> participants;
@@ -70,7 +70,7 @@ TEST(ElectionFromWrn, NotNecessarilySelfElecting) {
   // the strong variant — provided by StrongSetElectionObject.) We confirm
   // the weaker guarantee is genuinely weaker by finding such a schedule.
   bool found_non_self = false;
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     ElectionFromWrn election(3);
     for (int p = 0; p < 3; ++p) {
@@ -94,7 +94,7 @@ TEST(EquivalenceLoop, SetConsensusFromElectionFromWrn) {
   const int k = 3;
   const std::vector<Value> inputs{70, 80, 90};
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         ElectionFromWrn election(k);
         SetConsensusFromElection task(
@@ -121,7 +121,7 @@ TEST(EquivalenceLoop, SetConsensusFromAtomicElectionObject) {
   // (n,k)-set consensus with all adversary behaviours enumerated.
   const std::vector<Value> inputs{5, 6, 7};
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         StrongSetElectionObject sse(3, 2);
         SetConsensusFromElection task(

@@ -16,7 +16,7 @@ using Decision = ReplayDriver::Decision;
 // with lots of irrelevant decisions in front; the minimal reproducer is
 // much shorter.
 ExecutionBody late_bug_world() {
-  return [](ScheduleDriver& driver) {
+  return [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> noise(2, kBottom);
     Register<Value> r(0);
@@ -169,7 +169,7 @@ TEST(Shrinker, ShrinksReductionRecordedTraces) {
 TEST(Shrinker, CleanTraceReturnedCanonicalized) {
   // A non-violating trace is handed back (canonical form) unchanged in
   // meaning: replaying it still succeeds.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> regs(2, kBottom);
     for (int p = 0; p < 2; ++p) {
@@ -184,7 +184,7 @@ TEST(Shrinker, CleanTraceReturnedCanonicalized) {
 TEST(Shrinker, MinimizesObjectNondeterminismToo) {
   // The violation needs choose() == 1 at the set-consensus object; the
   // shrinker must keep that decision while zeroing the schedule noise.
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     SetConsensusObject obj(3, 2);
     std::array<Value, 2> got{kBottom, kBottom};

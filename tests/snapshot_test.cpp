@@ -30,7 +30,7 @@ TEST(SnapshotFromRegisters, SequentialUpdateScan) {
 // scanned value lies between the value at scan start and at scan end.
 TEST(SnapshotFromRegisters, ScansAreCurrentUnderAllSchedules) {
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         SnapshotFromRegisters<> snap(2, 0);
         std::vector<Value> view;
@@ -57,7 +57,7 @@ TEST(SnapshotFromRegisters, ScansAreCurrentUnderAllSchedules) {
 // regular collect could miss both ways; an atomic snapshot cannot.
 TEST(SnapshotFromRegisters, NoMutualMissUnderAnySchedule) {
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         SnapshotFromRegisters<> snap(2, kBottom);
         std::vector<std::vector<Value>> views(2);
@@ -84,7 +84,7 @@ TEST(SnapshotFromRegisters, NoMutualMissUnderAnySchedule) {
 // must hold for linearizable snapshots.
 TEST(SnapshotFromRegisters, ConcurrentScansAreComparable) {
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         SnapshotFromRegisters<> snap(2, 0);
         std::vector<std::vector<Value>> views(2);

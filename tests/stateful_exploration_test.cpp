@@ -35,7 +35,7 @@ namespace {
 // world state (the shared cell only remembers its last writer), so the
 // visited set should cut hard.
 ExecutionBody mixed_body(int procs) {
-  return [procs](ScheduleDriver& driver) {
+  return [procs](SchedulePolicy& driver) {
     Runtime rt;
     RegisterArray<> own(static_cast<std::size_t>(procs), kBottom);
     Register<> shared(kBottom);
@@ -53,7 +53,7 @@ ExecutionBody mixed_body(int procs) {
 // The classic lost update on a ported register: schedules where the reads
 // overlap lose an increment, and the body flags exactly those.
 ExecutionBody lost_update_body() {
-  return [](ScheduleDriver& driver) {
+  return [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> counter(0);
     for (int p = 0; p < 3; ++p) {
@@ -73,7 +73,7 @@ ExecutionBody lost_update_body() {
 // TestAndSet never reports a fingerprint: every granted step through it is
 // silent, which poisons the execution's fingerprint (hashing.hpp).
 ExecutionBody unported_body() {
-  return [](ScheduleDriver& driver) {
+  return [](SchedulePolicy& driver) {
     Runtime rt;
     TestAndSet tas;
     for (int p = 0; p < 3; ++p) {

@@ -26,7 +26,7 @@ namespace {
 ExecutionBody conflict_world(bool stepped_mask[3]) {
   const std::array<bool, 3> mask{stepped_mask[0], stepped_mask[1],
                                  stepped_mask[2]};
-  return [mask](ScheduleDriver& driver) {
+  return [mask](SchedulePolicy& driver) {
     Runtime rt;
     Register<> shared(0);
     RegisterArray<> own(3, 0);
@@ -85,7 +85,7 @@ void recursive_reads(Context& ctx, Register<>& reg, int depth) {
 
 TEST(SteppedEngine, FiberFallbackBodyBesideSteppedProcess) {
   const auto body_with = [](bool stepped_reader) {
-    return ExecutionBody([stepped_reader](ScheduleDriver& driver) {
+    return ExecutionBody([stepped_reader](SchedulePolicy& driver) {
       Runtime rt;
       Register<> reg(0);
       rt.add_process([&](Context& ctx) { recursive_reads(ctx, reg, 3); });
@@ -116,7 +116,7 @@ TEST(SteppedEngine, FiberFallbackBodyBesideSteppedProcess) {
 // non-flattening body (helper calls looping over per-cell registers); its
 // SteppedOp refuses it with a SimError pointing at the fallback rule.
 TEST(SteppedEngine, RegisterSnapshotAlgorithm5StaysOnFibers) {
-  const ExecutionBody body = [](ScheduleDriver& driver) {
+  const ExecutionBody body = [](SchedulePolicy& driver) {
     Runtime rt;
     WrnFromSse object(3, /*use_register_snapshots=*/true);
     Value out = kBottom;
@@ -137,7 +137,7 @@ TEST(SteppedEngine, RegisterSnapshotAlgorithm5StaysOnFibers) {
 // engine, including the hang semantics of SSE election and the doorway.
 TEST(SteppedEngine, Algorithm5SteppedMatchesFiber) {
   const auto body_with = [](bool stepped) {
-    return ExecutionBody([stepped](ScheduleDriver& driver) {
+    return ExecutionBody([stepped](SchedulePolicy& driver) {
       Runtime rt;
       WrnFromSse object(3);
       std::array<Value, 2> out{kBottom, kBottom};
@@ -186,7 +186,7 @@ TEST(SteppedEngine, Algorithm5SteppedMatchesFiber) {
 // minimal reproducer that still replays, with a stepped process involved.
 
 ExecutionBody violating_mixed_world() {
-  return [](ScheduleDriver& driver) {
+  return [](SchedulePolicy& driver) {
     Runtime rt;
     Register<> shared(0);
     Register<> own(0);

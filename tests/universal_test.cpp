@@ -83,7 +83,7 @@ TEST(Universal, FetchAddIsLinearizableUnderAllSchedules) {
   // 2 processes x 1 fetch-add each, exhaustive: responses must form a
   // permutation {0, d} — the atomic counter semantics.
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         UniversalObject<CounterSpec> counter(CounterSpec{}, 2, 12);
         std::vector<Value> previous(2, -1);
@@ -112,7 +112,7 @@ TEST(Universal, QueueHistoriesAreLinearizable) {
   // 3 processes, mixed enqueue/dequeue, random schedules; check the full
   // history with the Wing–Gong checker against the same spec.
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         UniversalObject<QueueSpec> queue(QueueSpec{}, 3, 24);
         History history;
@@ -139,7 +139,7 @@ TEST(Universal, QueueHistoriesAreLinearizable) {
 
 TEST(Universal, LogHasNoDuplicatesAndRespectsAnnouncements) {
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         UniversalObject<CounterSpec> counter(CounterSpec{}, 4, 40);
         for (int p = 0; p < 4; ++p) {
@@ -190,7 +190,7 @@ TEST(Universal, ImplementsWrnFromConsensusObjects) {
   // 1sWRN_3 for 3 processes built from 3-consensus objects, checked against
   // the same sequential spec Algorithm 5 is checked against.
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         UniversalObject<OneShotWrnSpec> wrn(OneShotWrnSpec{3}, 3, 24);
         History history;

@@ -90,7 +90,7 @@ TEST_P(Algorithm3Sweep, SolvesKMinus1SetConsensusForSparseNames) {
     inputs.push_back(1000 + 13 * i);
   }
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         AnonymousSetConsensus algorithm(k, /*slots=*/k);
         for (int p = 0; p < k; ++p) {
@@ -115,7 +115,7 @@ TEST(Algorithm3, ExhaustiveSmallInstance) {
   // and termination (the sweep is shallow enough to bound).
   std::vector<Value> inputs{11, 22, 33};
   const auto result = Explorer::explore(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         AnonymousSetConsensus algorithm(3, /*slots=*/3);
         for (const int p : {0, 2}) {
@@ -138,7 +138,7 @@ TEST(Algorithm3, NonRelaxedVariantAlsoWorks) {
   const int k = 3;
   std::vector<Value> inputs{5, 6, 7};
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         AnonymousSetConsensus algorithm(k, k, FunctionFamily::kCovering,
                                         /*relaxed=*/false);
@@ -160,7 +160,7 @@ TEST(Algorithm3, FullFamilyVariantWorks) {
   const int k = 3;
   std::vector<Value> inputs{5, 6, 7};
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         AnonymousSetConsensus algorithm(k, k, FunctionFamily::kFull);
         for (int p = 0; p < k; ++p) {

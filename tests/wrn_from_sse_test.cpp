@@ -17,7 +17,7 @@ namespace {
 /// linearizability against OneShotWrnSpec enforced.
 ExecutionBody full_run_body(int k, bool register_snapshots,
                             std::int64_t max_steps = 2'000'000) {
-  return [k, register_snapshots, max_steps](ScheduleDriver& driver) {
+  return [k, register_snapshots, max_steps](SchedulePolicy& driver) {
     Runtime rt;
     WrnFromSse object(k, register_snapshots);
     History history;
@@ -73,7 +73,7 @@ TEST(Algorithm5, LinearizableWithRegisterBuiltSnapshots) {
 TEST(Algorithm5, SomeInvocationReturnsBottom) {
   // Claim 23: in every full run, at least one invocation returns ⊥.
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(3);
         std::vector<Value> got(3, -1);
@@ -97,7 +97,7 @@ TEST(Algorithm5, SomeInvocationReturnsItsSuccessor) {
   // Claim 24: in every full run, some invocation returns its successor's
   // value.
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(3);
         std::vector<Value> got(3, -1);
@@ -126,7 +126,7 @@ TEST(Algorithm5, OutputsHaveWrnShape) {
   // Claim 22: w_i returns v_{(i+1) mod k} or ⊥ — under every schedule in a
   // bounded-exhaustive prefix.
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(3);
         std::vector<Value> got(3, -1);
@@ -153,7 +153,7 @@ TEST(Algorithm5, SequentialThenConcurrentRemainder) {
   // counterexample in §5): early completed ops constrain later ones.
   // Scripted order: w1 announces; w2 runs fully; then w1 resumes; w3 runs.
   const auto result = RandomSweep::run(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(3);
         History history;
@@ -179,7 +179,7 @@ TEST(Algorithm5, SequentialThenConcurrentRemainder) {
 TEST(Algorithm5, PartialParticipationLinearizable) {
   // Only 2 of 3 indices ever invoked.
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(3);
         History history;
@@ -207,7 +207,7 @@ TEST(Algorithm5Ablation, WithoutDoorwayNotLinearizable) {
   // w_i starts and also wins (two winners are allowed in (k,k−1)-strong
   // set election) — it returns ⊥ where linearizability demands v_{i+1}.
   const auto result = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(3, WrnFromSse::Options{.use_doorway = false});
         History history;
@@ -230,7 +230,7 @@ TEST(Algorithm5Ablation, WithoutDoorwayNotLinearizable) {
 // w1 can return v2 while w2 returns v3, creating the real-time/value-flow
 // cycle w1 < w3 ≤ w2 ≤ w1 the paper describes.
 ExecutionBody hazard_world(WrnFromSse::Options options) {
-  return [options](ScheduleDriver& driver) {
+  return [options](SchedulePolicy& driver) {
     Runtime rt;
     WrnFromSse object(4, options);
     History history;
@@ -263,7 +263,7 @@ TEST(Algorithm5Ablation, FullAlgorithmSurvivesTheSameScenarios) {
   EXPECT_TRUE(hazard.ok()) << *hazard.violation;
 
   const auto sequential = Explorer::explore(
-      [](ScheduleDriver& driver) {
+      [](SchedulePolicy& driver) {
         Runtime rt;
         WrnFromSse object(3);
         History history;

@@ -127,7 +127,7 @@ class OneShotWrnProperty : public ::testing::TestWithParam<int> {};
 TEST_P(OneShotWrnProperty, ReturnsSuccessorValueOrBottom) {
   const int k = GetParam();
   const auto result = Explorer::explore(
-      [k](ScheduleDriver& driver) {
+      [k](SchedulePolicy& driver) {
         Runtime rt;
         OneShotWrnObject wrn(k);
         std::vector<Value> got(static_cast<std::size_t>(k), kBottom - 0);

@@ -26,7 +26,7 @@ class Algorithm2Sweep : public ::testing::TestWithParam<int> {};
 TEST_P(Algorithm2Sweep, SolvesKMinus1SetConsensus) {
   const int k = GetParam();
   const std::vector<Value> inputs = distinct_inputs(k);
-  const ExecutionBody body = [&](ScheduleDriver& driver) {
+  const ExecutionBody body = [&](SchedulePolicy& driver) {
     Runtime rt;
     WrnSetConsensus algorithm(k);
     for (int p = 0; p < k; ++p) {
@@ -56,7 +56,7 @@ TEST(Algorithm2, FirstProposerDecidesItsOwnValue) {
   // Claim 4, on every schedule: identify the first process to perform WRN
   // and check it decided its own proposal.
   const int k = 3;
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     WrnSetConsensus algorithm(k);
     std::vector<int> wrn_order;  // pids in WRN completion order
@@ -93,7 +93,7 @@ TEST(Algorithm2, DecisionIsOwnOrSuccessorProposal) {
   // Claim 6 refined: P_i decides v_i or v_{(i+1) mod k}.
   const int k = 4;
   const std::vector<Value> inputs = distinct_inputs(k);
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     WrnSetConsensus algorithm(k);
     for (int p = 0; p < k; ++p) {
@@ -119,7 +119,7 @@ TEST(Algorithm2, KMinus1BoundIsTight) {
   const int k = 4;
   const std::vector<Value> inputs = distinct_inputs(k);
   int max_distinct = 0;
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     WrnSetConsensus algorithm(k);
     for (int p = 0; p < k; ++p) {
@@ -140,7 +140,7 @@ TEST(Algorithm2, SubsetParticipationStillValid) {
   // (trivially); every participant terminates.
   const int k = 5;
   const std::vector<Value> inputs = distinct_inputs(k);
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     WrnSetConsensus algorithm(k);
     const std::vector<int> participants{1, 3};
@@ -160,7 +160,7 @@ TEST(Algorithm2, SubsetParticipationStillValid) {
 TEST(Algorithm2, WorksWithFullWrnObjectToo) {
   const int k = 3;
   const std::vector<Value> inputs = distinct_inputs(k);
-  const auto result = Explorer::explore([&](ScheduleDriver& driver) {
+  const auto result = Explorer::explore([&](SchedulePolicy& driver) {
     Runtime rt;
     WrnSetConsensus algorithm(k, /*one_shot=*/false);
     for (int p = 0; p < k; ++p) {
@@ -203,7 +203,7 @@ TEST_P(Algorithm6Sweep, SolvesMSetConsensus) {
   const int m = probe.agreement();
   // Paper's headline bound: (k−1)/k ≤ m/n always holds for our m.
   EXPECT_LE((k - 1) * n, k * m + k * (k - 1));
-  const ExecutionBody body = [&, n = n, k = k](ScheduleDriver& driver) {
+  const ExecutionBody body = [&, n = n, k = k](SchedulePolicy& driver) {
     Runtime rt;
     WrnRatioSetConsensus algorithm(n, k);
     for (int p = 0; p < n; ++p) {
@@ -245,7 +245,7 @@ TEST(Algorithm6, EachGroupAchievesLemma39Bound) {
   const int k = 3;
   const std::vector<Value> inputs = distinct_inputs(n);
   const auto result = RandomSweep::run(
-      [&](ScheduleDriver& driver) {
+      [&](SchedulePolicy& driver) {
         Runtime rt;
         WrnRatioSetConsensus algorithm(n, k);
         for (int p = 0; p < n; ++p) {
