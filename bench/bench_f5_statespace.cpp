@@ -11,15 +11,16 @@
 //           with everything) and a write to one shared register (conflicts
 //           with every other process): the realistic partial-conflict case.
 // Each cell is explored three ways: unreduced serial, reduced serial, and
-// reduced parallel; the two reduced runs must agree bit-for-bit (executions
-// and reduced_subtrees), all three must reach the same verdict, and the
-// per-cell reduction factor (unreduced/reduced executions) and speedups are
-// reported.
+// reduced parallel; the unreduced count must equal the multinomial
+// (Σsteps)!/Π(steps!), the two reduced runs must agree bit-for-bit
+// (executions and reduced_subtrees), all three must reach the same verdict,
+// and the per-cell reduction factor (unreduced/reduced executions) and
+// speedups are reported.
 // Series 2: Wing–Gong checker time versus history length for maximally
 // concurrent 1sWRN histories (everything overlaps everything).
 // Series 3: stateful exploration — the same grid machinery at
 // {none, sleep, sleep+stateful} × threads {1, 4}; on convergent (mixed)
-// worlds the visited set must beat sleep-sets-alone by >= 5x executions on
+// worlds the visited set must beat sleep-sets-alone by >= 10x executions on
 // at least one cell, and the serial stateful counts must be engine-identical
 // (fiber vs stepped).
 //
@@ -109,6 +110,20 @@ ExecutionBody stepped_grid_body(World world, int procs, int steps) {
     }
     rt.run(driver);
   };
+}
+
+// Interleavings of `procs` sequences of `steps` steps each:
+// (procs·steps)! / (steps!)^procs, built as the product of the binomials
+// C(p·steps + steps, steps) — each partial product divides exactly, and
+// nothing overflows at the grid's sizes.
+long long multinomial(int procs, int steps) {
+  long long ways = 1;
+  for (int p = 1; p < procs; ++p) {
+    for (int s = 1; s <= steps; ++s) {
+      ways = ways * (p * steps + s) / s;
+    }
+  }
+  return ways;
 }
 
 struct CellResult {
@@ -309,12 +324,14 @@ int main() {
   long long total_executions_reduced = 0;
   // The artifact's search tally: the serial search behind each checked
   // claim — the reduced series-1 cells, the crash cell and the stateful
-  // headline cell (throughput re-runs and parallel twins are not counted).
+  // headline cell (parallel twins are not counted).
   subc::ExplorerTally search;
   int cells_at_2x = 0;
   for (const auto& [world, procs, steps] : cells) {
     const CellResult cell = run_cell(world, procs, steps, threads);
-    ok = ok && cell.counts_match && cell.verdict_match;
+    const bool cell_ok = cell.counts_match && cell.verdict_match &&
+                         cell.executions_unreduced == multinomial(procs, steps);
+    ok = ok && cell_ok;
     const double factor =
         cell.executions_reduced > 0
             ? static_cast<double>(cell.executions_unreduced) /
@@ -337,8 +354,7 @@ int main() {
     std::printf("%6s %6d %6d %12lld %12lld %7.1fx %9.1f %9.1f %9.1f %6s\n",
                 world_name(world), procs, steps, cell.executions_unreduced,
                 cell.executions_reduced, factor, cell.unreduced_ms,
-                cell.reduced_ms, cell.parallel_ms,
-                cell.counts_match && cell.verdict_match ? "yes" : "NO");
+                cell.reduced_ms, cell.parallel_ms, cell_ok ? "yes" : "NO");
     subc_bench::Json row;
     row.set("world", world_name(world))
         .set("procs", procs)
@@ -404,86 +420,6 @@ int main() {
       "WRN histories because state keys collapse equivalent\nlinearization "
       "prefixes.\n");
 
-  // Headline throughput cell — the acceptance number the perf trajectory
-  // tracks across PRs: the unreduced serial "reads, 4 procs × 3 steps" grid
-  // point re-measured in isolation, with a ProgressTicker attached (huge
-  // period: snapshot telemetry only, no stderr lines) so the observer-side
-  // rate lands in the artifact alongside the stopwatch one.
-  const ExecutionBody headline_body = grid_body(World::kReads, 4, 3);
-  Explorer::Options hopts;
-  hopts.max_executions = 5'000'000;
-  hopts.reduction = Reduction::kNone;
-  ProgressTicker ticker(/*period_seconds=*/1e9);
-  hopts.observer = &ticker;
-  const subc_bench::Stopwatch headline_sw;
-  const auto headline = Explorer::explore(headline_body, hopts);
-  const double headline_ms = headline_sw.ms();
-  const auto ticker_snap = ticker.snapshot();
-  // Measured on this cell immediately before the allocation-free-hot-path
-  // overhaul landed; kept so the artifact records the before/after pair.
-  const double pre_overhaul_rate = 110310.0;
-  subc_bench::Json headline_cell;
-  headline_cell.set("world", "reads").set("procs", 4).set("steps", 3);
-  subc_bench::set_rate_fields(headline_cell, headline.executions,
-                              headline_ms);
-  const double headline_rate =
-      headline_ms > 0
-          ? 1000.0 * static_cast<double>(headline.executions) / headline_ms
-          : 0.0;
-  headline_cell.set("executions_per_sec_pre_overhaul", pre_overhaul_rate)
-      .set("speedup_vs_pre_overhaul", headline_rate / pre_overhaul_rate)
-      .set("ticker_executions_per_sec", ticker_snap.executions_per_sec)
-      .set("ticker_reduction_factor", ticker_snap.reduction_factor)
-      .set("ticker_violations", ticker_snap.violations);
-  ok = ok && headline.complete && ticker_snap.executions == headline.executions;
-  std::printf("\nheadline cell (reads, 4 procs x 3 steps, unreduced serial): "
-              "%lld executions in %.1f ms = %.0f exec/s (pre-overhaul "
-              "%.0f exec/s, %.2fx)\n",
-              static_cast<long long>(headline.executions), headline_ms,
-              headline_rate,
-              pre_overhaul_rate, headline_rate / pre_overhaul_rate);
-
-  // The same headline grid point on the stepped execution engine: no stack
-  // switches, state blocks arena-carved. The execution count must match the
-  // fiber cell exactly (same tree, different suspension mechanism); the
-  // rate is the PR-over-PR acceptance number for the engine work.
-  const ExecutionBody stepped_headline_body =
-      stepped_grid_body(World::kReads, 4, 3);
-  Explorer::explore(stepped_headline_body, hopts);  // untimed warm-up
-  const subc_bench::Stopwatch stepped_headline_sw;
-  const auto stepped_headline = Explorer::explore(stepped_headline_body, hopts);
-  const double stepped_headline_ms = stepped_headline_sw.ms();
-  const double stepped_headline_rate =
-      stepped_headline_ms > 0
-          ? 1000.0 * static_cast<double>(stepped_headline.executions) /
-                stepped_headline_ms
-          : 0.0;
-  subc_bench::Json stepped_cell;
-  stepped_cell.set("world", "reads")
-      .set("procs", 4)
-      .set("steps", 3)
-      .set("engine", "stepped");
-  subc_bench::set_rate_fields(stepped_cell, stepped_headline.executions,
-                              stepped_headline_ms);
-  stepped_cell
-      .set("executions_match_fiber",
-           stepped_headline.executions == headline.executions)
-      .set("speedup_vs_fiber",
-           headline_rate > 0 ? stepped_headline_rate / headline_rate : 0.0)
-      .set("executions_per_sec_pre_overhaul", pre_overhaul_rate)
-      .set("speedup_vs_pre_overhaul",
-           stepped_headline_rate / pre_overhaul_rate);
-  ok = ok && stepped_headline.complete &&
-       stepped_headline.executions == headline.executions;
-  std::printf("stepped headline cell (same grid point, stepped engine): "
-              "%lld executions in %.1f ms = %.0f exec/s (%.2fx vs fiber, "
-              "executions match: %s)\n",
-              static_cast<long long>(stepped_headline.executions),
-              stepped_headline_ms, stepped_headline_rate,
-              headline_rate > 0 ? stepped_headline_rate / headline_rate : 0.0,
-              stepped_headline.executions == headline.executions ? "yes"
-                                                                 : "NO");
-
   // Crash-exploration cell: the mixed 3x2 grid point re-explored with crash
   // branching (f = 1) and a generous step-quota watchdog, serial vs
   // parallel. The crashed-branch tally must be bit-identical across thread
@@ -531,7 +467,7 @@ int main() {
   // convergent worlds (mixed: last-writer-wins registers funnel many
   // interleavings into few states) the visited set collapses the tree well
   // beyond what sleep sets alone manage; the acceptance gate below requires
-  // >= 5x fewer executions than sleep-alone on at least one mixed cell.
+  // >= 10x fewer executions than sleep-alone on at least one mixed cell.
   std::printf("\nseries 3: stateful exploration, executions at "
               "{none, sleep, sleep+stateful}\n");
   std::printf("%6s %6s %6s %12s %12s %12s %8s %8s\n", "world", "procs",
@@ -593,7 +529,7 @@ int main() {
         .set("verdicts_agree", cell.ok);
     series3.push_back(row);
   }
-  const bool stateful_effective = best_stateful_factor >= 5.0;
+  const bool stateful_effective = best_stateful_factor >= 10.0;
   ok = ok && stateful_effective;
 
   // Stateful headline cell (mixed, 3 procs x 4 steps, serial
@@ -617,7 +553,7 @@ int main() {
   std::printf("\nstateful headline cell (mixed, 3 procs x 4 steps, serial "
               "sleep+stateful): %lld executions (%lld cuts, %lld states) in "
               "%.1f ms; best mixed-cell factor vs sleep-alone %.1fx "
-              "(gate >= 5x: %s); stepped twin identical: %s\n",
+              "(gate >= 10x: %s); stepped twin identical: %s\n",
               static_cast<long long>(st_fiber.executions),
               static_cast<long long>(st_fiber.stateful_cuts),
               static_cast<long long>(st_fiber.stateful_states), st_ms,
@@ -645,8 +581,6 @@ int main() {
 
   subc_bench::Json out;
   out.set("bench", "F5")
-      .set("headline", headline_cell)
-      .set("headline_stepped", stepped_cell)
       .set("headline_stateful", stateful_headline)
       .set("crash_exploration", crash_cell)
       .set("threads", threads)

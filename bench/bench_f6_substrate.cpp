@@ -9,7 +9,9 @@
 //  * adopt-commit: commit rate under conflicting vs aligned proposals;
 //  * register-built atomic snapshot: collects per scan under w writers.
 // Sweeps run on the parallel RandomSweep; results also land in
-// BENCH_F6.json.
+// BENCH_F6.json. Self-gates: every sweep finds no violation, and aligned
+// adopt-commit proposals commit everywhere (rate exactly 1, by
+// convergence).
 #include <algorithm>
 #include <cstdio>
 #include <mutex>
@@ -26,6 +28,7 @@ namespace {
 using namespace subc;
 
 std::vector<subc_bench::Json> g_rows;
+bool g_ok = true;
 
 void record(const char* series, int n, double mean, long worst) {
   subc_bench::Json row;
@@ -64,6 +67,7 @@ void series_immediate_snapshot(int threads) {
         static_cast<double>(total) / static_cast<double>(samples);
     std::printf("%4d  %12.1f  %12ld%s\n", n, mean, worst,
                 result.ok() ? "" : "  !! violation");
+    g_ok = g_ok && result.ok();
     record("immediate_snapshot", n, mean, worst);
   }
 }
@@ -100,6 +104,7 @@ void series_safe_agreement(int threads) {
         static_cast<double>(total) / static_cast<double>(samples);
     std::printf("%4d  %12.1f  %12ld%s\n", n, mean, worst,
                 result.ok() ? "" : "  !! violation");
+    g_ok = g_ok && result.ok();
     record("safe_agreement", n, mean, worst);
   }
 }
@@ -113,7 +118,7 @@ void series_adopt_commit(int threads) {
       std::mutex mu;
       long commits = 0;
       long outcomes = 0;
-      RandomSweep::run(
+      const auto result = RandomSweep::run(
           [&](SchedulePolicy& driver) {
             Runtime rt;
             AdoptCommit ac(n);
@@ -129,11 +134,14 @@ void series_adopt_commit(int threads) {
             rt.run(driver);
           },
           300, 1, threads);
+      g_ok = g_ok && result.ok();
       return static_cast<double>(commits) / static_cast<double>(outcomes);
     };
     const double aligned = rate(true);
     const double conflicting = rate(false);
-    std::printf("%4d  %14.3f  %14.3f\n", n, aligned, conflicting);
+    g_ok = g_ok && aligned == 1.0;
+    std::printf("%4d  %14.3f  %14.3f%s\n", n, aligned, conflicting,
+                aligned == 1.0 ? "" : "  !! aligned proposals must commit");
     subc_bench::Json row;
     row.set("series", "adopt_commit")
         .set("n", n)
@@ -141,7 +149,6 @@ void series_adopt_commit(int threads) {
         .set("conflicting_commit_rate", conflicting);
     g_rows.push_back(row);
   }
-  std::printf("(aligned proposals must commit everywhere: expect 1.000)\n");
 }
 
 void series_snapshot(int threads) {
@@ -153,7 +160,7 @@ void series_snapshot(int threads) {
     long total = 0;
     long worst = 0;
     long samples = 0;
-    RandomSweep::run(
+    const auto result = RandomSweep::run(
         [&](SchedulePolicy& driver) {
           Runtime rt;
           SnapshotFromRegisters<> snap(w + 1, 0);
@@ -179,7 +186,9 @@ void series_snapshot(int threads) {
         300, 1, threads);
     const double mean =
         static_cast<double>(total) / static_cast<double>(samples);
-    std::printf("%4d  %12.1f  %12ld\n", w, mean, worst);
+    std::printf("%4d  %12.1f  %12ld%s\n", w, mean, worst,
+                result.ok() ? "" : "  !! violation");
+    g_ok = g_ok && result.ok();
     record("snapshot_scan", w, mean, worst);
   }
 }
@@ -195,8 +204,8 @@ int main() {
   series_snapshot(threads);
   subc_bench::Json out;
   out.set("bench", "F6").set("threads", threads).set("rows", g_rows).set(
-      "pass", true);
+      "pass", g_ok);
   subc_bench::write_json("BENCH_F6.json", out);
-  std::printf("\nF6 PASS\n");
-  return 0;
+  std::printf("\nF6 %s\n", g_ok ? "PASS" : "FAIL");
+  return g_ok ? 0 : 1;
 }

@@ -125,7 +125,8 @@ class Json {
 
 /// Stamps a throughput cell: `executions` completed in `elapsed_ms` of wall
 /// clock → `executions_per_sec` (0 when nothing ran or no time passed).
-/// This is the headline number the perf trajectory tracks across PRs.
+/// A record of this run only: nothing gates on it (perf is measured and
+/// gated same-host by perfbench/ and scripts/perf_ab.py).
 inline void set_rate_fields(Json& json, std::int64_t executions,
                             double elapsed_ms) {
   json.set("executions", executions);
@@ -196,19 +197,21 @@ inline Json alloc_counter_cell() {
 /// Writes `json` to `path` (+ trailing newline), stamping the process-wide
 /// allocation counters into an `alloc_counters` cell first so every
 /// BENCH_<ID>.json carries the allocator telemetry without per-bench
-/// plumbing. Returns false on IO error.
-inline bool write_json(const std::string& path, const Json& json) {
+/// plumbing. A bench whose artifact was not written must not pass, so a
+/// failed open, a short write or a failed close exits the process with
+/// status 1.
+inline void write_json(const std::string& path, const Json& json) {
   Json stamped = json;
   stamped.set("alloc_counters", alloc_counter_cell());
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "warning: cannot write %s\n", path.c_str());
-    return false;
-  }
   const std::string body = stamped.str() + "\n";
-  const bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  std::fclose(f);
-  return ok;
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  bool ok = f != nullptr &&
+            std::fwrite(body.data(), 1, body.size(), f) == body.size();
+  ok = (f == nullptr || std::fclose(f) == 0) && ok;
+  if (!ok) {
+    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
+    std::exit(1);
+  }
 }
 
 /// Worker threads for bench runs: $SUBC_BENCH_THREADS when set, otherwise

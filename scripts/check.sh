@@ -8,19 +8,13 @@
 #
 #   scripts/check.sh              full pass (tier-1 + sanitizers + benches)
 #   scripts/check.sh --quick      tier-1 only: build + test suite, nothing else
-#   scripts/check.sh --perf-smoke throughput gate only: Release bench_f4
-#                                 (JSON measurement, microbenches skipped),
-#                                 best of 3 runs, fail on >30% regression of
-#                                 either engine's serial explorer rate
-#                                 (serial_executions_per_sec for fibers,
-#                                 stepped_serial_executions_per_sec for the
-#                                 stepped engine) against the checked-in
-#                                 scripts/perf_baseline/BENCH_F4.json; then
-#                                 bench_f5 (best of 3: stateful factor no
-#                                 lower, headline_stateful exec/s >= 70% of
-#                                 scripts/perf_baseline/BENCH_F5.json) and
-#                                 bench_f8 service rates (>= 70% of
-#                                 scripts/perf_baseline/BENCH_F8.json)
+#   scripts/check.sh --perf-smoke perf gate only: scripts/perf_ab.py, a
+#                                 same-host A/B of the perfbench workloads
+#                                 (merge-base with main vs the working
+#                                 tree, 10 alternating pairs each) that fails
+#                                 when an end-to-end median worsens past its
+#                                 BENCHMARK.json bound or more operations
+#                                 fail than at the merge-base
 #   scripts/check.sh --soak-smoke multi-instance service gate only: ~5 s of
 #                                 bench_f8_soak's agreement-as-a-service
 #                                 stage under AddressSanitizer with the
@@ -54,146 +48,12 @@ for arg in "$@"; do
   esac
 done
 
-# --- Perf smoke: a fast standalone throughput gate -----------------------
-# Catches "the refactor quietly halved the explorer" before the expensive
-# sanitizer stages run. 30% headroom absorbs machine noise; real regressions
-# from allocation creep on the hot path are integer factors, not percents.
+# --- Perf smoke: the same-host benchmark A/B ----------------------------
+# Both sides are built and run on this host in alternating pairs, so the
+# gate follows the code rather than the host's load or another machine's
+# recorded numbers.
 if [[ "${PERF_SMOKE}" == "1" ]]; then
-  BASELINE="scripts/perf_baseline/BENCH_F4.json"
-  if [[ ! -f "${BASELINE}" ]]; then
-    echo "perf-smoke: missing baseline ${BASELINE}" >&2
-    exit 2
-  fi
-  cmake -B build-release -G Ninja -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release --target bench_f4_micro
-  mkdir -p bench-results
-  extract_field() {
-    # Pull a numeric field out of a flat JSON line (values may be printed
-    # in scientific notation). $1 = field name, $2 = file.
-    sed -n 's/.*"'"$1"'": \([-0-9.eE+]*\).*/\1/p' "$2"
-  }
-  # Both execution engines gate independently: the fiber rate and the
-  # stepped rate are different codepaths through the kernel, and either
-  # can regress without moving the other.
-  BEST_FIBER=0
-  BEST_STEPPED=0
-  for i in 1 2 3; do
-    # stdout/stderr silenced (google-benchmark notes it matched nothing);
-    # a non-zero exit still aborts via set -e.
-    (cd bench-results && ../build-release/bench/bench_f4_micro \
-        --benchmark_filter='^$' >/dev/null 2>&1)
-    FIBER_RATE="$(extract_field serial_executions_per_sec \
-        bench-results/BENCH_F4.json)"
-    STEPPED_RATE="$(extract_field stepped_serial_executions_per_sec \
-        bench-results/BENCH_F4.json)"
-    echo "perf-smoke: run ${i}: fiber ${FIBER_RATE} exec/s, stepped ${STEPPED_RATE} exec/s"
-    BEST_FIBER="$(awk -v a="${BEST_FIBER}" -v b="${FIBER_RATE}" \
-        'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
-    BEST_STEPPED="$(awk -v a="${BEST_STEPPED}" -v b="${STEPPED_RATE}" \
-        'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
-  done
-  FAIL=0
-  for engine in fiber stepped; do
-    if [[ "${engine}" == "fiber" ]]; then
-      FIELD=serial_executions_per_sec BEST="${BEST_FIBER}"
-    else
-      FIELD=stepped_serial_executions_per_sec BEST="${BEST_STEPPED}"
-    fi
-    BASE_RATE="$(extract_field "${FIELD}" "${BASELINE}")"
-    echo "perf-smoke: ${engine}: best ${BEST} exec/s vs baseline ${BASE_RATE} exec/s"
-    if ! awk -v c="${BEST}" -v b="${BASE_RATE}" \
-        'BEGIN { exit (c + 0 >= 0.7 * (b + 0)) ? 0 : 1 }'; then
-      echo "perf-smoke: FAIL — ${engine} serial explorer throughput regressed >30%" >&2
-      FAIL=1
-    fi
-  done
-  [[ "${FAIL}" == "0" ]] || exit 1
-
-  # Stateful-exploration headline (BENCH_F5): the bench self-gates its
-  # >=5x execution-count win on the convergent mixed cell and exits
-  # non-zero on failure; on top of that, the deterministic
-  # best-mixed-cell factor must not drop below the checked-in baseline's,
-  # and the headline stateful search's wall-clock rate (best of 3 runs,
-  # which also pays the per-search visited-set set-up) must stay >= 70% of
-  # the baseline's: fewer executions only count if the search got faster.
-  F5_BASELINE="scripts/perf_baseline/BENCH_F5.json"
-  if [[ ! -f "${F5_BASELINE}" ]]; then
-    echo "perf-smoke: missing baseline ${F5_BASELINE}" >&2
-    exit 2
-  fi
-  stateful_rate() {
-    # headline_stateful is a flat object; take its executions_per_sec.
-    sed -n 's/.*"headline_stateful": {[^}]*"executions_per_sec": \([-0-9.eE+]*\).*/\1/p' "$1"
-  }
-  cmake --build build-release --target bench_f5_statespace
-  BEST_STATEFUL=0
-  for i in 1 2 3; do
-    (cd bench-results && ../build-release/bench/bench_f5_statespace >/dev/null)
-    F5_FACTOR="$(extract_field best_mixed_factor bench-results/BENCH_F5.json)"
-    F5_BASE="$(extract_field best_mixed_factor "${F5_BASELINE}")"
-    echo "perf-smoke: run ${i}: stateful best mixed-cell factor ${F5_FACTOR}x vs baseline ${F5_BASE}x"
-    if ! awk -v c="${F5_FACTOR}" -v b="${F5_BASE}" \
-        'BEGIN { exit (c + 0 >= b + 0) ? 0 : 1 }'; then
-      echo "perf-smoke: FAIL — stateful exploration factor regressed below baseline" >&2
-      exit 1
-    fi
-    RATE="$(stateful_rate bench-results/BENCH_F5.json)"
-    echo "perf-smoke: run ${i}: stateful headline ${RATE} exec/s"
-    BEST_STATEFUL="$(awk -v a="${BEST_STATEFUL}" -v b="${RATE}" \
-        'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
-  done
-  BASE_RATE="$(stateful_rate "${F5_BASELINE}")"
-  echo "perf-smoke: stateful headline: best ${BEST_STATEFUL} exec/s vs baseline ${BASE_RATE} exec/s"
-  if ! awk -v c="${BEST_STATEFUL}" -v b="${BASE_RATE}" \
-      'BEGIN { exit (c + 0 >= 0.7 * (b + 0)) ? 0 : 1 }'; then
-    echo "perf-smoke: FAIL — stateful headline wall-clock rate regressed >30%" >&2
-    exit 1
-  fi
-
-  # Sharded-service headline (BENCH_F8): aggregate service ops/s at 1 shard
-  # and at 4 shards, best of 2 short runs, each >= 70% of the checked-in
-  # baseline. Absolute per-configuration throughput is the portable signal —
-  # wall-clock scaling across shards is gated inside the bench itself, and
-  # only on hosts with >= 8 usable cores (the bench stamps the measured
-  # ratio everywhere). Short runs land in a scratch dir so the checked-in
-  # bench-results/BENCH_F8.json stays a full-length artifact.
-  F8_BASELINE="scripts/perf_baseline/BENCH_F8.json"
-  if [[ ! -f "${F8_BASELINE}" ]]; then
-    echo "perf-smoke: missing baseline ${F8_BASELINE}" >&2
-    exit 2
-  fi
-  cmake --build build-release --target bench_f8_soak
-  ROOT="$(pwd)"
-  F8_SCRATCH="$(mktemp -d)"
-  trap 'rm -rf "${F8_SCRATCH}"' EXIT
-  BEST_1SHARD=0
-  BEST_4SHARD=0
-  for i in 1 2; do
-    (cd "${F8_SCRATCH}" && "${ROOT}/build-release/bench/bench_f8_soak" \
-        0 2 10 >/dev/null)
-    RATE_1="$(extract_field soak_ops_per_sec_1shard "${F8_SCRATCH}/BENCH_F8.json")"
-    RATE_4="$(extract_field soak_ops_per_sec_4shard "${F8_SCRATCH}/BENCH_F8.json")"
-    echo "perf-smoke: run ${i}: service 1-shard ${RATE_1} ops/s, 4-shard ${RATE_4} ops/s"
-    BEST_1SHARD="$(awk -v a="${BEST_1SHARD}" -v b="${RATE_1}" \
-        'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
-    BEST_4SHARD="$(awk -v a="${BEST_4SHARD}" -v b="${RATE_4}" \
-        'BEGIN { print (a + 0 > b + 0) ? a + 0 : b + 0 }')"
-  done
-  for cell in 1shard 4shard; do
-    if [[ "${cell}" == "1shard" ]]; then
-      FIELD=soak_ops_per_sec_1shard BEST="${BEST_1SHARD}"
-    else
-      FIELD=soak_ops_per_sec_4shard BEST="${BEST_4SHARD}"
-    fi
-    BASE_RATE="$(extract_field "${FIELD}" "${F8_BASELINE}")"
-    echo "perf-smoke: service ${cell}: best ${BEST} ops/s vs baseline ${BASE_RATE} ops/s"
-    if ! awk -v c="${BEST}" -v b="${BASE_RATE}" \
-        'BEGIN { exit (c + 0 >= 0.7 * (b + 0)) ? 0 : 1 }'; then
-      echo "perf-smoke: FAIL — sharded service ${cell} throughput regressed >30%" >&2
-      FAIL=1
-    fi
-  done
-  [[ "${FAIL}" == "0" ]] || exit 1
+  python3 scripts/perf_ab.py
   echo "PERF SMOKE PASSED"
   exit 0
 fi

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "subc/algorithms/stepped_bodies.hpp"
 #include "subc/checking/violation_log.hpp"
 #include "subc/objects/register.hpp"
 #include "subc/runtime/explorer.hpp"
@@ -78,18 +79,33 @@ Explorer::Options unreduced() {
   return opts;
 }
 
+// `grid_world` with every process on the stepped engine: the same tree.
+ExecutionBody stepped_grid_world(int procs, int steps) {
+  return [procs, steps](SchedulePolicy& driver) {
+    Runtime rt;
+    Register<> reg(0);
+    for (int p = 0; p < procs; ++p) {
+      rt.add_stepped(SteppedRegisterReader{&reg, steps});
+    }
+    rt.run(driver);
+  };
+}
+
 TEST(ParallelExplorer, MatchesSerialCountsAtEveryThreadCount) {
-  const ExecutionBody body = grid_world(3, 3);
-  const auto serial = Explorer::explore(body, unreduced());
-  ASSERT_TRUE(serial.complete);
-  ASSERT_EQ(serial.executions, 1680);  // 9!/(3!3!3!)
-  for (const int threads : {2, 3, 4, 8}) {
-    Explorer::Options opts = unreduced();
-    opts.threads = threads;
-    const auto parallel = Explorer::explore(body, opts);
-    EXPECT_TRUE(parallel.complete) << "threads=" << threads;
-    EXPECT_EQ(parallel.executions, serial.executions) << "threads=" << threads;
-    EXPECT_TRUE(parallel.ok()) << "threads=" << threads;
+  for (const ExecutionBody& body : {grid_world(3, 3),
+                                    stepped_grid_world(3, 3)}) {
+    const auto serial = Explorer::explore(body, unreduced());
+    ASSERT_TRUE(serial.complete);
+    ASSERT_EQ(serial.executions, 1680);  // 9!/(3!3!3!), on both engines
+    for (const int threads : {2, 3, 4, 8}) {
+      Explorer::Options opts = unreduced();
+      opts.threads = threads;
+      const auto parallel = Explorer::explore(body, opts);
+      EXPECT_TRUE(parallel.complete) << "threads=" << threads;
+      EXPECT_EQ(parallel.executions, serial.executions)
+          << "threads=" << threads;
+      EXPECT_TRUE(parallel.ok()) << "threads=" << threads;
+    }
   }
 }
 
